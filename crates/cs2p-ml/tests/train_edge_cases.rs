@@ -4,7 +4,10 @@
 //! iteration) must yield either a clean `None` or a fully finite,
 //! validating model and report.
 
-use cs2p_ml::hmm::{train, Emission, EmissionFamily, Hmm, TrainConfig, TrainReport};
+use cs2p_ml::gaussian::Gaussian;
+use cs2p_ml::hmm::{train, train_seeded, Emission, EmissionFamily, Hmm, TrainConfig, TrainReport};
+use cs2p_ml::matrix::Matrix;
+use cs2p_testkit::bits::{check_bits, Fnv1a64};
 
 fn assert_finite_model(hmm: &Hmm, report: &TrainReport, label: &str) {
     hmm.validate().unwrap_or_else(|e| panic!("{label}: {e}"));
@@ -135,4 +138,53 @@ fn more_states_than_observations_stays_finite() {
         assert_finite_model(&hmm, &report, "overparameterized");
     }
     // `None` is acceptable; a NaN-filled `Some` is not.
+}
+
+#[test]
+fn outlier_that_underflows_every_state_trains_through_the_deep_tail() {
+    // A warm start from tight sigmas makes one absurd epoch impossible
+    // under every state: each pdf underflows to exactly 0, so the E-step
+    // takes the forward pass's deep-tail branch (scale f64::MIN_POSITIVE,
+    // alpha reset to the propagated prior) mid-sequence, and the backward
+    // pass sees an all-zero emission column.
+    let means = [1.0, 3.0, 6.0];
+    let prior = Hmm::new(
+        vec![0.5, 0.3, 0.2],
+        Matrix::from_rows(&[
+            vec![0.90, 0.05, 0.05],
+            vec![0.05, 0.90, 0.05],
+            vec![0.05, 0.05, 0.90],
+        ]),
+        means
+            .iter()
+            .map(|&mu| Emission::Gaussian(Gaussian::new(mu, 0.05)))
+            .collect(),
+    );
+    let outlier = 1.0e6;
+    assert!(
+        prior.emissions.iter().all(|e| e.pdf(outlier) == 0.0),
+        "the outlier must underflow every state's pdf"
+    );
+    let mut sequences: Vec<Vec<f64>> = (0..4)
+        .map(|k| {
+            (0..40)
+                .map(|t| means[(t / 10 + k) % 3] + 0.01 * (((t * 7 + k) % 5) as f64 - 2.0))
+                .collect()
+        })
+        .collect();
+    sequences[1][20] = outlier;
+    let config = TrainConfig {
+        n_states: 3,
+        max_iters: 8,
+        tol: 0.0,
+        ..TrainConfig::default()
+    };
+    let (hmm, report) = train_seeded(&sequences, &config, Some(&prior)).expect("warm start trains");
+    assert!(report.start.is_warm());
+    assert_eq!(report.iterations, 8);
+    assert_finite_model(&hmm, &report, "deep-tail");
+    check_bits(
+        "deep_tail_outlier_warm",
+        Fnv1a64::new().train_run(&hmm, &report).finish(),
+    );
 }

@@ -11,6 +11,9 @@
 //!   and prediction traces are compared against JSON files checked in
 //!   under `crates/cs2p-testkit/fixtures/`; set `UPDATE_GOLDEN=1` to
 //!   regenerate them.
+//! - [`bits`]: the bit-exact training fixture. Trained models are hashed
+//!   (FNV-1a-64 over every parameter's bits) and compared exactly against
+//!   `fixtures/training_bits.txt`, which `golden`'s tolerance cannot do.
 //! - [`invariants`]: reusable assertions for properties that many crates
 //!   care about — thread-count independence of training, model-bundle
 //!   round-trips, simulator determinism, concurrency-transparency of the
@@ -32,6 +35,7 @@
 //! must never depend on it. Harness crates (`cs2p-eval`'s `chaos-bench`)
 //! may use [`faults`] directly — it is test infrastructure either way.
 
+pub mod bits;
 pub mod crash;
 pub mod faults;
 pub mod golden;
