@@ -81,7 +81,6 @@ impl AbrAlgorithm for Mpc {
 
         let mut best_level = 0;
         let mut best_score = f64::NEG_INFINITY;
-        let n = ctx.video.n_levels();
         // DFS over bitrate sequences.
         let mut stack: Vec<usize> = Vec::with_capacity(steps);
         search(
@@ -100,7 +99,6 @@ impl AbrAlgorithm for Mpc {
                 }
             },
         );
-        let _ = n;
         best_level
     }
 

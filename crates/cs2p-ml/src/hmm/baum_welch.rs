@@ -8,12 +8,14 @@
 //! reestimates `(pi, P, emissions)` from the pooled posteriors.
 //!
 //! Numerical notes:
-//! - forward/backward are the scaled recursions from [`super::forward`];
+//! - forward/backward are the scaled recursions of [`ForwardBackward`], run
+//!   over one workspace reused across sequences and iterations (emissions
+//!   are evaluated once per sequence per iteration, into that workspace);
 //! - transition counts get a tiny additive floor so no row of `P` ever
 //!   becomes exactly zero (keeps the chain ergodic and the filter sane);
 //! - state emission fits are clamped to `MIN_SIGMA` by [`Gaussian::new`].
 
-use super::forward::{backward, forward};
+use super::forward::ForwardBackward;
 use super::init::kmeans_init;
 use super::{Emission, Hmm};
 use crate::gaussian::Gaussian;
@@ -198,6 +200,10 @@ pub fn train_seeded(
     let mut lls = Vec::with_capacity(config.max_iters);
     let mut converged = false;
     let mut final_rel_delta = f64::INFINITY;
+    // One workspace and one xi scratch serve every sequence of every
+    // iteration: the E-step allocates nothing per epoch.
+    let mut fb = ForwardBackward::default();
+    let mut xi = vec![0.0; n * n];
 
     for _iter in 0..config.max_iters {
         // --- E step: accumulate statistics over all sequences ---
@@ -210,32 +216,25 @@ pub fn train_seeded(
         let mut em_w = vec![0.0; n];
         let mut em_wx = vec![0.0; n];
         let mut em_wxx = vec![0.0; n];
+        let p = hmm.transition.data();
 
         for seq in &nonempty {
-            let f = forward(&hmm, seq);
-            ll_total += f.log_likelihood;
-            let beta = backward(&hmm, seq, &f.scales);
+            ll_total += fb.forward(&hmm, seq);
+            fb.backward(&hmm);
+            fb.smooth(); // gamma_t(i) ∝ alpha_t(i) beta_t(i)
             let t_max = seq.len();
 
-            // gamma_t(i) ∝ alpha_t(i) beta_t(i)
-            let mut gamma = vec![vec![0.0; n]; t_max];
-            for t in 0..t_max {
-                for i in 0..n {
-                    gamma[t][i] = f.alpha[t][i] * beta[t][i];
-                }
-                super::normalize(&mut gamma[t]);
-            }
-
-            for i in 0..n {
-                pi_acc[i] += gamma[0][i];
+            for (acc, g) in pi_acc.iter_mut().zip(fb.gamma(0)) {
+                *acc += g;
             }
             for (t, &w) in seq.iter().enumerate() {
                 let x = match config.family {
                     EmissionFamily::Gaussian => w,
                     EmissionFamily::LogNormal => w.ln(),
                 };
+                let gamma = fb.gamma(t);
                 for i in 0..n {
-                    let g = gamma[t][i];
+                    let g = gamma[i];
                     em_w[i] += g;
                     em_wx[i] += g * x;
                     em_wxx[i] += g * x * x;
@@ -244,24 +243,22 @@ pub fn train_seeded(
 
             // xi_t(i, j) ∝ alpha_t(i) P_ij e_j(w_{t+1}) beta_{t+1}(j)
             for t in 0..t_max.saturating_sub(1) {
-                let mut xi = Matrix::zeros(n, n);
+                let (alpha, b, beta) = (fb.alpha(t), fb.emission(t + 1), fb.beta(t + 1));
                 let mut total = 0.0;
                 for i in 0..n {
                     for j in 0..n {
-                        let v = f.alpha[t][i]
-                            * hmm.transition[(i, j)]
-                            * hmm.emissions[j].pdf(seq[t + 1])
-                            * beta[t + 1][j];
-                        xi[(i, j)] = v;
+                        let v = alpha[i] * p[i * n + j] * b[j] * beta[j];
+                        xi[i * n + j] = v;
                         total += v;
                     }
                 }
                 if total > 0.0 && total.is_finite() {
+                    let gamma = fb.gamma(t);
                     for i in 0..n {
                         for j in 0..n {
-                            xi_acc[(i, j)] += xi[(i, j)] / total;
+                            xi_acc[(i, j)] += xi[i * n + j] / total;
                         }
-                        gamma_trans_acc[i] += gamma[t][i];
+                        gamma_trans_acc[i] += gamma[i];
                     }
                 }
             }

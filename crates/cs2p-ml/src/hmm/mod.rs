@@ -8,7 +8,8 @@
 //!
 //! The module provides:
 //! - [`Hmm`]: the parameter set `theta = (pi, P, emissions)`;
-//! - scaled forward/backward recursions ([`forward()`](forward)) that never underflow;
+//! - scaled forward/backward recursions over a reusable flat workspace
+//!   ([`ForwardBackward`]) that never underflow;
 //! - Baum–Welch EM training over multiple observation sequences
 //!   ([`train`]), initialized by 1-D k-means ([`kmeans_init`]);
 //! - the online filter of Algorithm 1 ([`HmmFilter`]): predict the next epoch
@@ -31,7 +32,7 @@ mod viterbi;
 
 pub use baum_welch::{train, train_seeded, EmissionFamily, StartMode, TrainConfig, TrainReport};
 pub use filter::{FilterState, HmmFilter};
-pub use forward::{forward, ForwardResult};
+pub use forward::ForwardBackward;
 pub use init::kmeans_init;
 pub use select::{one_step_error, select_state_count, SelectConfig, SelectReport};
 pub use viterbi::{viterbi, ViterbiPath};
@@ -169,7 +170,7 @@ impl Hmm {
 
     /// Total log-likelihood of an observation sequence under the model.
     pub fn log_likelihood(&self, obs: &[f64]) -> f64 {
-        forward::forward(self, obs).log_likelihood
+        ForwardBackward::default().forward(self, obs)
     }
 
     /// Starts an online filter (Algorithm 1) from the model's initial
