@@ -1,15 +1,16 @@
-//! Bit-exact training fixture.
+//! Bit-exact fixtures for trained models and ABR decisions.
 //!
 //! [`golden`](crate::golden) compares numbers within a relative 1e-9, so a
 //! change that moves a trained parameter by one ulp passes it. The tests
-//! built on this module pin trained models exactly instead: they hash
-//! every parameter's bit pattern with FNV-1a-64 and compare the digest
-//! against `fixtures/training_bits.txt`, one `name = 0x<hex>` line per
-//! case.
+//! built on this module pin results exactly instead: they hash every
+//! parameter's bit pattern (or every decision) with FNV-1a-64 and compare
+//! the digest against a fixture with one `name = 0x<hex>` line per case:
+//! `fixtures/training_bits.txt` for trained models,
+//! `fixtures/decision_bits.txt` for MPC decisions.
 //!
 //! There is no regeneration switch. A mismatch panics with the line that
 //! would make the test pass; edit the fixture by hand, and only in a
-//! change that means to alter trained models (TESTING.md).
+//! change that means to alter those results (TESTING.md).
 
 use cs2p_core::model_io::ModelBundle;
 use cs2p_ml::hmm::{Emission, Hmm, TrainReport};
@@ -91,11 +92,22 @@ impl Fnv1a64 {
     }
 }
 
-/// Requires `digest` to equal the fixture's line for `name`.
+/// Requires `digest` to equal the line for `name` in
+/// `fixtures/training_bits.txt` (trained models).
 pub fn check_bits(name: &str, digest: u64) {
-    let path = crate::golden::fixtures_dir().join("training_bits.txt");
+    check_pinned("training_bits.txt", name, digest);
+}
+
+/// Requires `digest` to equal the line for `name` in
+/// `fixtures/decision_bits.txt` (ABR decisions).
+pub fn check_decision_bits(name: &str, digest: u64) {
+    check_pinned("decision_bits.txt", name, digest);
+}
+
+fn check_pinned(file: &str, name: &str, digest: u64) {
+    let path = crate::golden::fixtures_dir().join(file);
     let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("training bits: cannot read {}: {e}", path.display()));
+        .unwrap_or_else(|e| panic!("pinned bits: cannot read {}: {e}", path.display()));
     let wanted = format!("{name} = 0x{digest:016x}");
     let pinned = text
         .lines()
@@ -104,18 +116,18 @@ pub fn check_bits(name: &str, digest: u64) {
         .map(|(_, hex)| {
             let hex = hex.trim().trim_start_matches("0x");
             u64::from_str_radix(hex, 16)
-                .unwrap_or_else(|e| panic!("training bits `{name}`: bad digest {hex:?}: {e}"))
+                .unwrap_or_else(|e| panic!("pinned bits `{name}`: bad digest {hex:?}: {e}"))
         });
     match pinned {
         Some(pinned) if pinned == digest => {}
         Some(pinned) => panic!(
-            "training bits `{name}` changed: pinned 0x{pinned:016x}, trained 0x{digest:016x}.\n\
-             Trained models are no longer bit-identical. Only a change that means to \
+            "pinned bits `{name}` changed: pinned 0x{pinned:016x}, computed 0x{digest:016x}.\n\
+             The results are no longer bit-identical. Only a change that means to \
              alter them may update {} to read:\n  {wanted}",
             path.display()
         ),
         None => panic!(
-            "training bits `{name}` is not pinned; add this line to {}:\n  {wanted}",
+            "pinned bits `{name}` is not pinned; add this line to {}:\n  {wanted}",
             path.display()
         ),
     }

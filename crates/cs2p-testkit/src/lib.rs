@@ -11,9 +11,10 @@
 //!   and prediction traces are compared against JSON files checked in
 //!   under `crates/cs2p-testkit/fixtures/`; set `UPDATE_GOLDEN=1` to
 //!   regenerate them.
-//! - [`bits`]: the bit-exact training fixture. Trained models are hashed
-//!   (FNV-1a-64 over every parameter's bits) and compared exactly against
-//!   `fixtures/training_bits.txt`, which `golden`'s tolerance cannot do.
+//! - [`bits`]: the bit-exact fixtures. Trained models (FNV-1a-64 over
+//!   every parameter's bits) and MPC decisions are hashed and compared
+//!   exactly against `fixtures/training_bits.txt` and
+//!   `fixtures/decision_bits.txt`, which `golden`'s tolerance cannot do.
 //! - [`invariants`]: reusable assertions for properties that many crates
 //!   care about — thread-count independence of training, model-bundle
 //!   round-trips, simulator determinism, concurrency-transparency of the
