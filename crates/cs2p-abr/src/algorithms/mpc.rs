@@ -5,9 +5,26 @@
 //! over the next `h` chunks, enumerate bitrate sequences, roll the buffer
 //! model forward under the *predicted* throughputs, score each sequence
 //! with the QoE objective (quality − smoothness − rebuffer penalties), and
-//! commit only the first decision. With a 5-rung ladder and `h = 5` the
-//! exhaustive search is 3125 rollouts — the "exact integer programming"
-//! solution at toy scale (FastMPC's table merely precomputes it).
+//! commit only the first decision. The search is exhaustive — the "exact
+//! integer programming" solution at toy scale (FastMPC's table merely
+//! precomputes it) — over `L^h` sequences, 3125 for the 5-rung ladder at
+//! `h = 5`.
+//!
+//! The kernel is table-driven and allocation-free. Per decision it fills
+//! two tables in a workspace the controller owns and reuses:
+//!
+//! - `download[t * L + l]`, the predicted download time of rung `l` at
+//!   depth `t`;
+//! - `reward[(last + 1) * L + l] = bitrate_l − λ·|bitrate_l − bitrate_last|`,
+//!   with slot 0 standing for "no previous level" (no smoothness term).
+//!
+//! An iterative depth-first walk then visits sequences in lexicographic
+//! order (rungs ascending), carrying the simulated buffer and score per
+//! depth; the last depth is scored inside its parent's loop. Each step's
+//! arithmetic — `(reward − μ·rebuffer)`, added to the running score — and
+//! the strict `>` that lets the first maximum win are those of the plain
+//! recursive enumeration, so decisions are bit-identical to it (DESIGN.md
+//! §7).
 
 use super::{AbrAlgorithm, AbrContext};
 use crate::qoe::QoeParams;
@@ -34,13 +51,33 @@ impl Default for MpcConfig {
 #[derive(Debug, Clone)]
 pub struct Mpc {
     config: MpcConfig,
+    ws: Workspace,
+}
+
+/// Per-decision tables and the depth-first walk's per-depth state, reused
+/// across decisions.
+#[derive(Debug, Clone, Default)]
+struct Workspace {
+    /// `download[t * L + l]`: seconds to fetch rung `l` at depth `t`.
+    download: Vec<f64>,
+    /// `reward[(last + 1) * L + l]`: quality minus smoothness penalty.
+    reward: Vec<f64>,
+    /// Rung being tried at each depth above the leaves' parent.
+    level: Vec<usize>,
+    /// Buffer level on entering each depth.
+    buffer: Vec<f64>,
+    /// Score accumulated on entering each depth.
+    score: Vec<f64>,
 }
 
 impl Mpc {
     /// MPC with the given configuration.
     pub fn new(config: MpcConfig) -> Self {
         assert!(config.horizon >= 1);
-        Mpc { config }
+        Mpc {
+            config,
+            ws: Workspace::default(),
+        }
     }
 }
 
@@ -62,99 +99,125 @@ impl AbrAlgorithm for Mpc {
     fn select_level(&mut self, ctx: &AbrContext) -> usize {
         let _span = cs2p_obs::span("stream.mpc.select");
         cs2p_obs::counter_add("stream.mpc.decisions", 1);
-        // Resolve the prediction for each lookahead step: missing entries
-        // inherit the nearest earlier prediction; with no information at
-        // all, be conservative.
-        let mut preds = Vec::with_capacity(self.config.horizon);
-        let mut last_seen: Option<f64> = None;
-        for i in 0..self.config.horizon {
-            let p = ctx.predictions_mbps.get(i).copied().flatten().or(last_seen);
-            last_seen = p;
-            preds.push(p);
-        }
-        if preds[0].is_none() {
+        // With no information at all, be conservative.
+        let Some(mut pred) = ctx.next_prediction() else {
+            return 0;
+        };
+        // Don't plan past the end of the video.
+        let steps = self
+            .config
+            .horizon
+            .min(ctx.video.n_chunks.saturating_sub(ctx.chunk_index));
+        let video = ctx.video;
+        let n = video.n_levels();
+        if steps == 0 || n == 0 {
             return 0;
         }
-        // Don't plan past the end of the video.
-        let remaining = ctx.video.n_chunks - ctx.chunk_index;
-        let steps = self.config.horizon.min(remaining);
 
+        let Workspace {
+            download,
+            reward,
+            level,
+            buffer,
+            score,
+        } = &mut self.ws;
+        // Missing predictions inherit the nearest earlier one.
+        download.clear();
+        for t in 0..steps {
+            if let Some(&Some(p)) = ctx.predictions_mbps.get(t) {
+                pred = p;
+            }
+            let rate = pred.max(1e-6) * 1000.0;
+            download.extend((0..n).map(|l| video.chunk_kbits(l) / rate));
+        }
+        let lambda = self.config.qoe.lambda;
+        reward.clear();
+        for last in 0..=n {
+            reward.extend(video.bitrates_kbps.iter().map(|&bitrate| {
+                let smooth = match last.checked_sub(1) {
+                    Some(l) => (bitrate - video.bitrates_kbps[l]).abs(),
+                    None => 0.0,
+                };
+                bitrate - lambda * smooth
+            }));
+        }
+        // Depth 0 starts from the context's buffer with a score of 0.
+        level.clear();
+        level.resize(steps, 0);
+        buffer.clear();
+        buffer.resize(steps, ctx.buffer_seconds);
+        score.clear();
+        score.resize(steps, 0.0);
+
+        let mu = self.config.qoe.mu_rebuffer;
+        let (chunk, cap) = (video.chunk_seconds, video.buffer_capacity_seconds);
+        let first_slot = ctx.last_level.map_or(0, |l| l + 1);
+        let leaves = row(download, n, steps - 1);
         let mut best_level = 0;
         let mut best_score = f64::NEG_INFINITY;
-        // DFS over bitrate sequences.
-        let mut stack: Vec<usize> = Vec::with_capacity(steps);
-        search(
-            ctx,
-            &self.config.qoe,
-            &preds,
-            steps,
-            ctx.buffer_seconds,
-            ctx.last_level,
-            0.0,
-            &mut stack,
-            &mut |first, score| {
-                if score > best_score {
-                    best_score = score;
-                    best_level = first;
+        let Some(parent) = steps.checked_sub(2) else {
+            // One step: the leaves hang off the root.
+            let (b, s) = (buffer[0], score[0]);
+            for (l, (&dl, &rw)) in leaves.iter().zip(row(reward, n, first_slot)).enumerate() {
+                let total = s + (rw - mu * (dl - b).max(0.0));
+                if total > best_score {
+                    best_score = total;
+                    best_level = l;
                 }
-            },
-        );
-        best_level
+            }
+            return best_level;
+        };
+        let mut d = 0;
+        loop {
+            let slot = if d == 0 { first_slot } else { level[d - 1] + 1 };
+            let (b, s) = (buffer[d], score[d]);
+            let (down, rew) = (row(download, n, d), row(reward, n, slot));
+            if d < parent {
+                // Descend through the next rung of this depth.
+                let l = level[d];
+                let rebuffer = (down[l] - b).max(0.0);
+                score[d + 1] = s + (rew[l] - mu * rebuffer);
+                buffer[d + 1] = ((b - down[l]).max(0.0) + chunk).min(cap);
+                d += 1;
+                level[d] = 0;
+                continue;
+            }
+            // The leaves' parent: each rung here, and inside its loop every
+            // leaf under it.
+            for (l, (&dl, &rw)) in down.iter().zip(rew).enumerate() {
+                let rebuffer = (dl - b).max(0.0);
+                let s1 = s + (rw - mu * rebuffer);
+                let b1 = ((b - dl).max(0.0) + chunk).min(cap);
+                let first = if d == 0 { l } else { level[0] };
+                for (&dl2, &rw2) in leaves.iter().zip(row(reward, n, l + 1)) {
+                    let total = s1 + (rw2 - mu * (dl2 - b1).max(0.0));
+                    if total > best_score {
+                        best_score = total;
+                        best_level = first;
+                    }
+                }
+            }
+            // Backtrack to the next untried rung of the deepest unfinished
+            // depth.
+            loop {
+                if d == 0 {
+                    return best_level;
+                }
+                d -= 1;
+                level[d] += 1;
+                if level[d] < n {
+                    break;
+                }
+            }
+        }
     }
 
     fn reset(&mut self) {}
 }
 
-/// Recursive rollout: tries every level at the current depth, carrying the
-/// simulated buffer and accumulated score.
-#[allow(clippy::too_many_arguments)]
-fn search(
-    ctx: &AbrContext,
-    qoe: &QoeParams,
-    preds: &[Option<f64>],
-    steps_left: usize,
-    buffer: f64,
-    last_level: Option<usize>,
-    score: f64,
-    stack: &mut Vec<usize>,
-    report: &mut impl FnMut(usize, f64),
-) {
-    if steps_left == 0 {
-        if let Some(&first) = stack.first() {
-            report(first, score);
-        }
-        return;
-    }
-    let depth = stack.len();
-    let pred = preds[depth.min(preds.len() - 1)].unwrap_or(0.001);
-    for level in 0..ctx.video.n_levels() {
-        let size_kbits = ctx.video.chunk_kbits(level);
-        let download = size_kbits / (pred.max(1e-6) * 1000.0);
-        let rebuffer = (download - buffer).max(0.0);
-        let mut next_buffer = (buffer - download).max(0.0) + ctx.video.chunk_seconds;
-        next_buffer = next_buffer.min(ctx.video.buffer_capacity_seconds);
-
-        let bitrate = ctx.video.bitrates_kbps[level];
-        let smooth = match last_level {
-            Some(l) => (bitrate - ctx.video.bitrates_kbps[l]).abs(),
-            None => 0.0,
-        };
-        let step_score = bitrate - qoe.lambda * smooth - qoe.mu_rebuffer * rebuffer;
-
-        stack.push(level);
-        search(
-            ctx,
-            qoe,
-            preds,
-            steps_left - 1,
-            next_buffer,
-            Some(level),
-            score + step_score,
-            stack,
-            report,
-        );
-        stack.pop();
-    }
+/// Row `i` of a flat table with rows of `n` entries.
+fn row(table: &[f64], n: usize, i: usize) -> &[f64] {
+    &table[i * n..(i + 1) * n]
 }
 
 #[cfg(test)]
@@ -232,6 +295,17 @@ mod tests {
         let ctx = test_ctx(&video, &preds, 20.0, Some(2), video.n_chunks - 1);
         let level = mpc.select_level(&ctx);
         assert!(level < video.n_levels());
+    }
+
+    #[test]
+    fn chunk_index_at_or_past_the_end_picks_level_zero() {
+        let video = VideoSpec::envivio();
+        let mut mpc = Mpc::default();
+        let preds = vec![Some(10.0); 5];
+        for chunk in [video.n_chunks, video.n_chunks + 1, usize::MAX] {
+            let ctx = test_ctx(&video, &preds, 20.0, Some(4), chunk);
+            assert_eq!(mpc.select_level(&ctx), 0, "chunk {chunk}");
+        }
     }
 
     #[test]

@@ -26,6 +26,8 @@ pub struct RobustMpc {
     pending_prediction: Option<f64>,
     /// Recent positive relative errors (overestimates only).
     recent_errors: VecDeque<f64>,
+    /// Discounted predictions handed to the inner MPC, reused per decision.
+    discounted: Vec<Option<f64>>,
 }
 
 impl RobustMpc {
@@ -35,6 +37,7 @@ impl RobustMpc {
             inner: Mpc::new(config),
             pending_prediction: None,
             recent_errors: VecDeque::with_capacity(ERROR_WINDOW),
+            discounted: Vec::new(),
         }
     }
 
@@ -72,18 +75,16 @@ impl AbrAlgorithm for RobustMpc {
         }
 
         let discount = self.discount();
-        let discounted: Vec<Option<f64>> = ctx
-            .predictions_mbps
-            .iter()
-            .map(|p| p.map(|w| w / discount))
-            .collect();
+        self.discounted.clear();
+        self.discounted
+            .extend(ctx.predictions_mbps.iter().map(|p| p.map(|w| w / discount)));
         self.pending_prediction = ctx.predictions_mbps.first().copied().flatten();
 
         let robust_ctx = AbrContext {
             chunk_index: ctx.chunk_index,
             buffer_seconds: ctx.buffer_seconds,
             last_level: ctx.last_level,
-            predictions_mbps: &discounted,
+            predictions_mbps: &self.discounted,
             last_actual_mbps: ctx.last_actual_mbps,
             video: ctx.video,
         };
