@@ -52,6 +52,14 @@ fn bench_prediction_latency(c: &mut Criterion) {
         p.observe(2.0);
         b.iter(|| black_box(p.predict_ahead(8)))
     });
+
+    // The server's readout for a horizon-8 request: predictions for
+    // 1..=8 epochs ahead from one filter state.
+    c.bench_function("horizon_readout_8", |b| {
+        let mut f = model.hmm.filter();
+        f.observe(2.0);
+        b.iter(|| black_box(f.predict_horizon(8)))
+    });
 }
 
 fn bench_fast_mpc(c: &mut Criterion) {

@@ -119,8 +119,16 @@ impl Matrix {
     /// `v^T * self` for a vector `v` of length `rows` (row-vector product,
     /// the shape used by HMM state-distribution propagation `pi P`).
     pub fn vecmat(&self, v: &[f64]) -> Vec<f64> {
-        assert_eq!(v.len(), self.rows, "vecmat dimension mismatch");
         let mut out = vec![0.0; self.cols];
+        self.vecmat_into(v, &mut out);
+        out
+    }
+
+    /// [`vecmat`](Self::vecmat) into a caller-owned row of length `cols`.
+    pub fn vecmat_into(&self, v: &[f64], out: &mut [f64]) {
+        assert_eq!(v.len(), self.rows, "vecmat dimension mismatch");
+        assert_eq!(out.len(), self.cols, "vecmat output length mismatch");
+        out.fill(0.0);
         for (i, &vi) in v.iter().enumerate() {
             if vi == 0.0 {
                 continue;
@@ -129,7 +137,6 @@ impl Matrix {
                 *o += vi * self[(i, j)];
             }
         }
-        out
     }
 
     /// Solves `A x = b` by Gaussian elimination with partial pivoting.

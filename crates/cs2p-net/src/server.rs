@@ -796,15 +796,10 @@ impl AppState {
             }
         }
         let initial = filter.epoch() == 0;
-        let predictions_mbps: Vec<f64> = (1..=preq.horizon)
-            .map(|k| {
-                if initial && k == 1 {
-                    model.initial_median
-                } else {
-                    filter.predict_ahead(k)
-                }
-            })
-            .collect();
+        let mut predictions_mbps = filter.predict_horizon(preq.horizon);
+        if initial {
+            predictions_mbps[0] = model.initial_median;
+        }
         state.filter = filter.state();
         state.pending = Some(PendingPrediction {
             value: predictions_mbps[0],
