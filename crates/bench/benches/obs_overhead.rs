@@ -18,10 +18,16 @@
 //! p50/p90/p99 sketch behind `/ops` and the quality monitor) in each
 //! registry state, and the headline table gains end-to-end serving rows
 //! with request tracing off and on.
+//!
+//! The report-only `quality-monitor` group times the server's online APE
+//! scoring with the registry disabled: one `record_ape` into a full
+//! 256-sample drift window, and one 64-entry frame scored under a single
+//! monitor lock (what `/predict_batch` pays per frame).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use cs2p_ml::hmm::{train, TrainConfig};
-use cs2p_obs::{quantile_observe, MemorySink, QuantileSketch, Registry};
+use cs2p_net::quality::{Outcome, QualityConfig, QualityMonitor, SketchKey};
+use cs2p_obs::{quantile_observe, MemorySink, MonotonicClock, QuantileSketch, Registry};
 use cs2p_testkit::loadgen::{run_load, LoadConfig};
 use cs2p_testkit::scenarios::tiny_engine;
 use rand::Rng;
@@ -169,6 +175,58 @@ fn quantile_sketch(c: &mut Criterion) {
     group.finish();
 }
 
+/// Online APE scoring per sample and per 64-entry frame, registry
+/// disabled, drift window full at its default 256 samples. The APEs stay
+/// under the default alarm threshold, so the window never clears.
+fn quality_monitor(c: &mut Criterion) {
+    Registry::global().set_enabled(false);
+    let apes: Vec<f64> = {
+        let mut rng = ChaCha8Rng::seed_from_u64(29);
+        (0..1024).map(|_| rng.gen_range(0.0..0.5)).collect()
+    };
+    let monitor = QualityMonitor::new(QualityConfig::default(), Arc::new(MonotonicClock::new()));
+    for &e in &apes[..256] {
+        monitor.record_ape(1, true, false, e);
+    }
+    assert_eq!(monitor.windowed().0, 256, "bench window must be full");
+
+    let mut group = c.benchmark_group("quality-monitor");
+    group.sample_size(30);
+    let mut i = 0;
+    group.bench_function("record-ape-window-256", |b| {
+        b.iter(|| {
+            i = (i + 1) % apes.len();
+            black_box(monitor.record_ape(1, true, false, black_box(apes[i])))
+        })
+    });
+    let frames: Vec<Vec<Outcome>> = apes
+        .chunks(64)
+        .map(|chunk| {
+            chunk
+                .iter()
+                .enumerate()
+                .map(|(j, &e)| {
+                    let key = SketchKey::Served {
+                        version: 1,
+                        cluster_hit: j % 4 != 0,
+                        initial: j % 8 == 0,
+                    };
+                    Outcome::Scored(key, e)
+                })
+                .collect()
+        })
+        .collect();
+    let mut f = 0;
+    group.bench_function("frame-64-one-lock", |b| {
+        b.iter(|| {
+            f = (f + 1) % frames.len();
+            black_box(monitor.score(frames[f].iter().copied()))
+        })
+    });
+    assert_eq!(monitor.alarms(), 0, "bench samples must not alarm");
+    group.finish();
+}
+
 /// Median wall time of one small loadgen run (2 clients × 8 sessions ×
 /// 5 epochs) against a fresh server, in nanoseconds. Server startup and
 /// shutdown stay outside the timed region.
@@ -235,6 +293,7 @@ criterion_group!(
     obs_overhead_group,
     obs_overhead,
     quantile_sketch,
+    quality_monitor,
     serve_tracing_overhead
 );
 criterion_main!(obs_overhead_group);

@@ -24,10 +24,21 @@
 //! The monitor keeps its own sketches in addition to feeding the global
 //! `cs2p-obs` registry: the `/ops` surface must work even when the
 //! registry is disabled (the default in production).
+//!
+//! Scoring is on every served request, so it is kept cheap: sketches
+//! are keyed by a `Copy` [`SketchKey`] (the key string is rendered only
+//! for snapshots), and the drift window keeps a sorted copy of itself
+//! beside the arrival-order ring, so each sample costs two binary
+//! searches and a memmove of at most `window` floats instead of a
+//! sort. The median read off the sorted copy is bit-identical to
+//! sorting the window: every sample is finite with its sign bit clear,
+//! so equal values are equal bit patterns and the sorted multiset is
+//! the same either way.
 
 use cs2p_obs::{Clock, QuantileSketch, QuantileSnapshot};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, VecDeque};
+use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -46,6 +57,8 @@ pub struct QualityConfig {
     /// Drift alarm fires when the window's median APE exceeds this.
     pub threshold_ape: f64,
     /// No alarm until the window holds at least this many samples.
+    /// Clamped to `1..=window`: a larger value could never be reached,
+    /// and would silently disable the alarm.
     pub min_samples: usize,
     /// Minimum time between alarms, measured on the injectable clock.
     pub cooldown: Duration,
@@ -67,29 +80,127 @@ impl Default for QualityConfig {
     }
 }
 
+/// Which APE sketch a scored prediction lands in. Rendered (by
+/// `Display`) as `v{version}.{cluster|global}.{initial|midstream}`, or
+/// `log` for pairs recovered from offline session logs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum SketchKey {
+    /// A prediction the server served.
+    Served {
+        /// The model version that made it.
+        version: u64,
+        /// Whether the session hit a cluster model (vs. the global
+        /// fallback).
+        cluster_hit: bool,
+        /// Whether it was the session's initial (cluster-median)
+        /// prediction.
+        initial: bool,
+    },
+    /// A `(predicted, actual)` pair from an uploaded session log whose
+    /// session the server no longer holds: provenance unknown.
+    Log,
+}
+
+impl fmt::Display for SketchKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            SketchKey::Served {
+                version,
+                cluster_hit,
+                initial,
+            } => write!(
+                f,
+                "v{}.{}.{}",
+                version,
+                if cluster_hit { "cluster" } else { "global" },
+                if initial { "initial" } else { "midstream" },
+            ),
+            SketchKey::Log => f.write_str("log"),
+        }
+    }
+}
+
+/// One prediction's quality outcome, booked by [`QualityMonitor::score`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Outcome {
+    /// The prediction met its measurement: its APE, and its sketch.
+    Scored(SketchKey, f64),
+    /// The prediction will never be scored (APE undefined).
+    Unmatched,
+}
+
+impl Outcome {
+    /// Scores `predicted` against the `actual` measured later;
+    /// [`Outcome::Unmatched`] where [`ape`] is undefined.
+    pub fn of(key: SketchKey, predicted: f64, actual: f64) -> Self {
+        match ape(predicted, actual) {
+            Some(e) => Outcome::Scored(key, e),
+            None => Outcome::Unmatched,
+        }
+    }
+}
+
 /// Mutex-guarded state: the drift window and the quality sketches.
 #[derive(Debug)]
 struct MonitorInner {
     /// Last `window` APE values, oldest first.
     window: VecDeque<f64>,
+    /// The same values as `window`, ascending: the median is read by
+    /// index, and samples enter and leave by binary search.
+    sorted: Vec<f64>,
     /// When the last alarm fired (injectable-clock micros).
     last_alarm_us: Option<u64>,
-    /// Per-provenance APE sketches, keyed
-    /// `v{version}.{cluster|global}.{initial|midstream}` (or `log` for
-    /// pairs recovered from offline session logs).
-    sketches: BTreeMap<String, QuantileSketch>,
+    /// Per-provenance APE sketches.
+    sketches: BTreeMap<SketchKey, QuantileSketch>,
     /// End-to-end request-handling latency (µs, on the injectable
     /// clock — zero-width under a `ManualClock`, which is what keeps
     /// deterministic runs deterministic).
     latency_us: QuantileSketch,
 }
 
+impl MonitorInner {
+    /// Appends `ape` to the window, first evicting the oldest sample
+    /// when the window already holds `cap`.
+    fn push(&mut self, ape: f64, cap: usize) {
+        if self.window.len() == cap {
+            let old = self.window.pop_front().expect("full window");
+            let i = self.sorted.partition_point(|&x| x < old);
+            debug_assert_eq!(self.sorted[i].to_bits(), old.to_bits());
+            self.sorted.remove(i);
+        }
+        self.window.push_back(ape);
+        let i = self.sorted.partition_point(|&x| x <= ape);
+        self.sorted.insert(i, ape);
+    }
+
+    /// Median of a non-empty window.
+    fn median(&self) -> f64 {
+        let v = &self.sorted;
+        let n = v.len();
+        if n % 2 == 1 {
+            v[n / 2]
+        } else {
+            0.5 * (v[n / 2 - 1] + v[n / 2])
+        }
+    }
+
+    fn clear_window(&mut self) {
+        self.window.clear();
+        self.sorted.clear();
+    }
+}
+
 /// The online accuracy monitor. One per server; all methods are
-/// thread-safe and cheap enough for the request path (an atomic or a
-/// short mutex hold — no allocation unless a new sketch key appears).
+/// thread-safe and cheap enough for the request path: an atomic, or a
+/// short mutex hold costing O(log window) comparisons per sample. A
+/// frame of outcomes is scored under one hold ([`score`](Self::score)).
+/// With the global registry disabled, scoring allocates only while the
+/// window first fills and when a new sketch key appears.
 pub struct QualityMonitor {
     config: QualityConfig,
     clock: Arc<dyn Clock>,
+    /// `config.min_samples`, clamped to `1..=window` (window at least 1).
+    min_samples: usize,
     /// Predictions scored against a later measurement.
     matched: AtomicU64,
     /// Predictions that left the server unscored (session completed or
@@ -103,8 +214,8 @@ pub struct QualityMonitor {
     inner: Mutex<MonitorInner>,
 }
 
-impl std::fmt::Debug for QualityMonitor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl fmt::Debug for QualityMonitor {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("QualityMonitor")
             .field("config", &self.config)
             .field("matched", &self.matched.load(Ordering::Relaxed))
@@ -118,15 +229,18 @@ impl QualityMonitor {
     /// Creates a monitor. `clock` is the server's injectable clock —
     /// alarm cooldown (and request-latency timing) follow it.
     pub fn new(config: QualityConfig, clock: Arc<dyn Clock>) -> Self {
+        let min_samples = config.min_samples.clamp(1, config.window.max(1));
         QualityMonitor {
             config,
             clock,
+            min_samples,
             matched: AtomicU64::new(0),
             unmatched: AtomicU64::new(0),
             alarms: AtomicU64::new(0),
             refresh_in_flight: AtomicBool::new(false),
             inner: Mutex::new(MonitorInner {
                 window: VecDeque::new(),
+                sorted: Vec::new(),
                 last_alarm_us: None,
                 sketches: BTreeMap::new(),
                 latency_us: QuantileSketch::new(),
@@ -142,14 +256,14 @@ impl QualityMonitor {
     /// Scores one served prediction against the throughput the player
     /// later measured. Returns `true` when this sample tripped the
     /// drift alarm (the caller decides whether to act on it).
+    /// A non-finite or negative `ape` is counted unmatched instead.
     pub fn record_ape(&self, version: u64, cluster_hit: bool, initial: bool, ape: f64) -> bool {
-        let key = format!(
-            "v{}.{}.{}",
+        let key = SketchKey::Served {
             version,
-            if cluster_hit { "cluster" } else { "global" },
-            if initial { "initial" } else { "midstream" },
-        );
-        self.record_keyed(&key, ape)
+            cluster_hit,
+            initial,
+        };
+        self.score([Outcome::Scored(key, ape)]) > 0
     }
 
     /// Scores a `(predicted, actual)` pair recovered from an uploaded
@@ -157,34 +271,55 @@ impl QualityMonitor {
     /// longer holds — provenance and model version are unknown, so the
     /// sample lands in the dedicated `log` sketch.
     pub fn record_log_ape(&self, ape: f64) -> bool {
-        self.record_keyed("log", ape)
+        self.score([Outcome::Scored(SketchKey::Log, ape)]) > 0
     }
 
-    fn record_keyed(&self, key: &str, ape: f64) -> bool {
-        self.matched.fetch_add(1, Ordering::Relaxed);
-        if cs2p_obs::enabled() {
-            cs2p_obs::counter_add("quality.coverage.matched", 1);
-            cs2p_obs::quantile_observe(&format!("quality.ape.{key}"), ape);
-        }
-        let mut inner = self.inner.lock();
-        match inner.sketches.get_mut(key) {
-            Some(s) => s.observe(ape),
-            None => {
-                let mut s = QuantileSketch::new();
-                s.observe(ape);
-                inner.sketches.insert(key.to_string(), s);
+    /// Books `outcomes` in order under one lock acquisition, exactly as
+    /// the same calls to [`record_ape`](Self::record_ape) /
+    /// [`note_unmatched`](Self::note_unmatched) one by one would, and
+    /// returns how many drift alarms they fired. A scored APE that is
+    /// non-finite or negative (sign bit set) is undefined: it counts
+    /// unmatched and stays out of the window and the sketches.
+    pub fn score(&self, outcomes: impl IntoIterator<Item = Outcome>) -> u64 {
+        let mut guard = None;
+        let mut alarms = 0;
+        for outcome in outcomes {
+            let (key, ape) = match outcome {
+                Outcome::Scored(key, ape) if ape.is_finite() && ape.is_sign_positive() => {
+                    (key, ape)
+                }
+                _ => {
+                    self.note_unmatched();
+                    continue;
+                }
+            };
+            self.matched.fetch_add(1, Ordering::Relaxed);
+            if cs2p_obs::enabled() {
+                cs2p_obs::counter_add("quality.coverage.matched", 1);
+                cs2p_obs::quantile_observe(&format!("quality.ape.{key}"), ape);
+            }
+            let inner = guard.get_or_insert_with(|| self.inner.lock());
+            inner
+                .sketches
+                .entry(key)
+                .or_insert_with(QuantileSketch::new)
+                .observe(ape);
+            inner.push(ape, self.config.window.max(1));
+            if self.check_alarm(inner) {
+                alarms += 1;
             }
         }
-        inner.window.push_back(ape);
-        while inner.window.len() > self.config.window.max(1) {
-            inner.window.pop_front();
-        }
-        self.check_alarm(&mut inner)
+        alarms
     }
 
     /// Drift check; called with the lock held, window freshly updated.
+    /// The clock is read only once the median crosses the threshold.
     fn check_alarm(&self, inner: &mut MonitorInner) -> bool {
-        if inner.window.len() < self.config.min_samples.max(1) {
+        if inner.window.len() < self.min_samples {
+            return false;
+        }
+        let median = inner.median();
+        if median <= self.config.threshold_ape {
             return false;
         }
         let now = self.clock.now_micros();
@@ -194,14 +329,10 @@ impl QualityMonitor {
                 return false;
             }
         }
-        let median = median_of(inner.window.iter().copied());
-        if median <= self.config.threshold_ape {
-            return false;
-        }
         // Alarm. Clear the window so post-refresh samples are judged on
         // their own — that is what lets a test watch the windowed APE
         // recover after the hot-swap.
-        inner.window.clear();
+        inner.clear_window();
         inner.last_alarm_us = Some(now);
         let n = self.alarms.fetch_add(1, Ordering::Relaxed) + 1;
         if cs2p_obs::enabled() {
@@ -256,18 +387,22 @@ impl QualityMonitor {
         if inner.window.is_empty() {
             (0, 0.0)
         } else {
-            (inner.window.len(), median_of(inner.window.iter().copied()))
+            (inner.window.len(), inner.median())
         }
     }
 
-    /// Snapshots of every per-provenance APE sketch, sorted by key.
+    /// Snapshots of every per-provenance APE sketch, sorted by the
+    /// rendered key string.
     pub fn ape_snapshots(&self) -> Vec<(String, QuantileSnapshot)> {
-        self.inner
+        let mut rows: Vec<(String, QuantileSnapshot)> = self
+            .inner
             .lock()
             .sketches
             .iter()
-            .map(|(k, s)| (k.clone(), s.snapshot()))
-            .collect()
+            .map(|(k, s)| (k.to_string(), s.snapshot()))
+            .collect();
+        rows.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        rows
     }
 
     /// Snapshot of the request-latency sketch.
@@ -287,22 +422,6 @@ impl QualityMonitor {
     /// Releases the alarm-refresh slot.
     pub fn end_refresh(&self) {
         self.refresh_in_flight.store(false, Ordering::Release);
-    }
-}
-
-/// Exact median by sorting a copy — the window is small (hundreds) and
-/// this runs at most once per scored prediction.
-fn median_of(xs: impl Iterator<Item = f64>) -> f64 {
-    let mut v: Vec<f64> = xs.collect();
-    if v.is_empty() {
-        return 0.0;
-    }
-    v.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    let n = v.len();
-    if n % 2 == 1 {
-        v[n / 2]
-    } else {
-        0.5 * (v[n / 2 - 1] + v[n / 2])
     }
 }
 
@@ -418,6 +537,87 @@ mod tests {
         // 0-second cooldown: ManualClock has not advanced, and
         // now - last == 0 >= 0, so only the median gate holds it back.
         assert!(!m.record_ape(2, true, false, 0.05));
+    }
+
+    #[test]
+    fn snapshot_rows_sort_by_rendered_key() {
+        let (m, _) = monitor(QualityConfig::default());
+        m.record_ape(10, true, false, 0.1);
+        m.record_ape(2, false, true, 0.2);
+        m.record_ape(2, true, true, 0.3);
+        let keys: Vec<String> = m.ape_snapshots().into_iter().map(|(k, _)| k).collect();
+        assert_eq!(
+            keys,
+            [
+                "v10.cluster.midstream",
+                "v2.cluster.initial",
+                "v2.global.initial"
+            ]
+        );
+    }
+
+    #[test]
+    fn non_finite_or_negative_ape_counts_unmatched() {
+        let (m, _) = monitor(QualityConfig {
+            window: 4,
+            threshold_ape: 0.5,
+            min_samples: 1,
+            cooldown: Duration::ZERO,
+            trigger_refresh: false,
+        });
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.5, -0.0] {
+            assert!(!m.record_ape(1, true, false, bad));
+            assert!(!m.record_log_ape(bad));
+        }
+        assert_eq!(m.matched(), 0);
+        assert_eq!(m.unmatched(), 10);
+        assert_eq!(m.windowed(), (0, 0.0));
+        assert!(m.ape_snapshots().is_empty());
+        // A frame mixing good and bad samples books only the good ones.
+        let key = SketchKey::Log;
+        let alarms = m.score([
+            Outcome::Scored(key, 0.1),
+            Outcome::Scored(key, f64::NAN),
+            Outcome::Unmatched,
+            Outcome::Scored(key, 0.3),
+        ]);
+        assert_eq!(alarms, 0);
+        assert_eq!((m.matched(), m.unmatched()), (2, 12));
+        assert_eq!(m.windowed(), (2, 0.2));
+    }
+
+    #[test]
+    fn min_samples_above_window_still_alarms() {
+        let (m, _) = monitor(QualityConfig {
+            window: 4,
+            threshold_ape: 0.5,
+            min_samples: 64,
+            cooldown: Duration::ZERO,
+            trigger_refresh: false,
+        });
+        for _ in 0..3 {
+            assert!(!m.record_ape(1, true, false, 1.0));
+        }
+        assert!(
+            m.record_ape(1, true, false, 1.0),
+            "a full window must alarm"
+        );
+        assert_eq!(m.alarms(), 1);
+    }
+
+    #[test]
+    fn frame_scoring_counts_every_alarm() {
+        let (m, _) = monitor(QualityConfig {
+            window: 2,
+            threshold_ape: 0.5,
+            min_samples: 2,
+            cooldown: Duration::ZERO,
+            trigger_refresh: false,
+        });
+        let bad = Outcome::Scored(SketchKey::Log, 1.0);
+        assert_eq!(m.score([bad; 5]), 2);
+        assert_eq!(m.alarms(), 2);
+        assert_eq!(m.windowed(), (1, 1.0));
     }
 
     #[test]

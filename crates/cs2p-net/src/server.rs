@@ -42,7 +42,7 @@ use crate::protocol::{
     parse_features_query, BatchEntryResult, BatchPredictRequest, BatchPredictResponse, Degradation,
     Health, PredictRequest, PredictResponse, SessionLog, MAX_BATCH_ENTRIES,
 };
-use crate::quality::{ape, QualityConfig, QualityMonitor};
+use crate::quality::{Outcome, QualityConfig, QualityMonitor, SketchKey};
 use crate::recorder::SessionRecorder;
 use crate::store::{SessionStore, ShardGuard};
 use crate::transport::{DeadlineReader, IoHalf, TransportWrapper};
@@ -225,17 +225,6 @@ struct PendingPrediction {
     value: f64,
     /// Whether it was the session's initial (cluster-median) prediction.
     initial: bool,
-}
-
-/// A prediction's quality outcome, carried out of the shard lock: the
-/// scored `(was_initial, ape)` pair for the previous prediction, or a
-/// mark that its measurement left APE undefined. The monitor is only
-/// touched after every shard lock is dropped (see
-/// [`AppState::score_deferred`]).
-#[derive(Debug, Clone, Copy, Default)]
-struct DeferredScore {
-    scored: Option<(bool, f64)>,
-    unscorable: bool,
 }
 
 /// Per-session server-side state. The session is *pinned*: it holds the
@@ -711,11 +700,6 @@ impl AppState {
         Ok(())
     }
 
-    /// The per-entry prediction core, run under the owning shard's lock.
-    /// Shared verbatim between the singleton and batched endpoints so a
-    /// batch is bit-identical to its sequential expansion. Returns the
-    /// response plus the deferred quality outcome — APE scoring happens
-    /// *after* the shard lock drops, in both endpoints.
     /// Ensures a live session exists for `preq`, (re-)registering it from
     /// the request's features when needed. Returns whether a registration
     /// happened. Shared by the Full and Degraded prediction paths — both
@@ -760,12 +744,18 @@ impl AppState {
         Ok(true)
     }
 
+    /// The per-entry prediction core, run under the owning shard's lock.
+    /// Shared verbatim between the singleton and batched endpoints so a
+    /// batch is bit-identical to its sequential expansion. Returns the
+    /// response plus the previous prediction's quality outcome, if this
+    /// request's measurement closed one — APE scoring happens *after*
+    /// the shard lock drops, in both endpoints.
     fn predict_locked(
         &self,
         shard: &mut ShardGuard<'_, SessionState>,
         preq: &PredictRequest,
         wal: &mut WalBatch,
-    ) -> Result<(PredictResponse, DeferredScore), (u16, &'static str)> {
+    ) -> Result<(PredictResponse, Option<Outcome>), (u16, &'static str)> {
         let registered = self.ensure_session(shard, preq)?;
         let tick = shard.now();
         let state = shard
@@ -781,14 +771,15 @@ impl AppState {
         // The measurement this request carries is the ground truth for
         // the 1-step prediction served last time: score it (outside the
         // shard lock). An actual of zero leaves APE undefined.
-        let mut scored: Option<(bool, f64)> = None;
-        let mut unscorable = false;
+        let mut outcome = None;
         if let Some(w) = preq.measured_mbps {
             if let Some(p) = state.pending.take() {
-                match ape(p.value, w) {
-                    Some(e) => scored = Some((p.initial, e)),
-                    None => unscorable = true,
-                }
+                let key = SketchKey::Served {
+                    version: state.version.0,
+                    cluster_hit: state.cluster_hit,
+                    initial: p.initial,
+                };
+                outcome = Some(Outcome::of(key, p.value, w));
             }
             filter.observe(w);
             if state.observed.len() < MAX_RECORDED_EPOCHS {
@@ -843,7 +834,7 @@ impl AppState {
             };
             p.stage(&record, wal);
         }
-        Ok((resp, DeferredScore { scored, unscorable }))
+        Ok((resp, outcome))
     }
 
     /// The Degraded-level prediction core: registration still works (the
@@ -857,7 +848,7 @@ impl AppState {
         shard: &mut ShardGuard<'_, SessionState>,
         preq: &PredictRequest,
         wal: &mut WalBatch,
-    ) -> Result<(PredictResponse, DeferredScore), (u16, &'static str)> {
+    ) -> Result<(PredictResponse, Option<Outcome>), (u16, &'static str)> {
         let registered = self.ensure_session(shard, preq)?;
         let tick = shard.now();
         let state = shard
@@ -886,7 +877,7 @@ impl AppState {
                 );
             }
         }
-        Ok((resp, DeferredScore::default()))
+        Ok((resp, None))
     }
 
     /// The Fallback-level prediction: answered purely from the session's
@@ -914,22 +905,18 @@ impl AppState {
         })
     }
 
-    /// Books one entry's deferred quality outcome: APE into the monitor's
-    /// sketches (possibly tripping the drift alarm and its refresh), or
-    /// an unmatched mark. Must run outside every shard lock.
-    fn score_deferred(&self, resp: &PredictResponse, deferred: DeferredScore) {
-        let mut alarm = false;
-        if let Some((was_initial, e)) = deferred.scored {
-            alarm = self
-                .monitor
-                .record_ape(resp.model_version, resp.cluster_hit, was_initial, e);
-        } else if deferred.unscorable {
-            self.monitor.note_unmatched();
-        }
-        if alarm && self.monitor.config().trigger_refresh {
+    /// Books a request's deferred quality outcomes in frame order under
+    /// one monitor lock, then runs one alarm-triggered refresh per alarm
+    /// fired — the refreshes the sequential expansion would have run.
+    /// Must run outside every shard lock.
+    fn score_deferred(&self, outcomes: impl IntoIterator<Item = Outcome>) {
+        let alarms = self.monitor.score(outcomes);
+        if self.monitor.config().trigger_refresh {
             // Training is slow — it runs here, after the shard lock is
             // gone, on the worker that happened to trip the alarm.
-            self.refresh_on_drift();
+            for _ in 0..alarms {
+                self.refresh_on_drift();
+            }
         }
     }
 
@@ -976,11 +963,11 @@ impl AppState {
             p.log_staged(&mut wal);
         }
         drop(shard);
-        let (resp, deferred) = match out {
+        let (resp, outcome) = match out {
             Ok(out) => out,
             Err((status, msg)) => return Response::error(status, msg),
         };
-        self.score_deferred(&resp, deferred);
+        self.score_deferred(outcome);
         // Every measurement an admitted request carries warms the
         // fallback side table, so a later brownout answers mid-stream
         // sessions immediately. Off with the ladder (no side-table cost
@@ -1055,7 +1042,7 @@ impl AppState {
         // once, no reallocation while a shard lock is held.
         let mut results: Vec<Option<BatchEntryResult>> = Vec::with_capacity(n);
         results.resize_with(n, || None);
-        let mut deferred: Vec<DeferredScore> = vec![DeferredScore::default(); n];
+        let mut deferred: Vec<Option<Outcome>> = vec![None; n];
         let mut ok_entries = 0u64;
         // One staging buffer reused across shard groups: each group's
         // records land in a single WAL append (one mutex acquisition per
@@ -1075,8 +1062,8 @@ impl AppState {
                             self.predict_locked(&mut shard, preq, &mut wal)
                         };
                         match out {
-                            Ok((resp, score)) => {
-                                deferred[i] = score;
+                            Ok((resp, outcome)) => {
+                                deferred[i] = outcome;
                                 ok_entries += 1;
                                 BatchEntryResult::ok(resp)
                             }
@@ -1095,13 +1082,10 @@ impl AppState {
             .map(|r| r.expect("every batch slot filled"))
             .collect();
 
-        // Frame-order scoring, outside every shard lock — the same calls
-        // in the same order as the sequential expansion of this batch.
-        for (result, score) in results.iter().zip(deferred) {
-            if let Some(resp) = &result.response {
-                self.score_deferred(resp, score);
-            }
-        }
+        // Frame-order scoring, outside every shard lock and under one
+        // monitor lock — the same samples in the same order as the
+        // sequential expansion of this batch.
+        self.score_deferred(deferred.into_iter().flatten());
 
         for (entry, result) in breq.entries.iter().zip(&results) {
             if result.response.is_none() {
@@ -1194,7 +1178,7 @@ impl AppState {
         };
         // A log upload marks the session complete: retire it from the
         // store and drain its observations into the training recorder.
-        let mut alarm = false;
+        let mut alarms = 0;
         let removed = {
             let mut guard = self.sessions.lock(log.session_id);
             let removed = guard.remove(log.session_id);
@@ -1222,16 +1206,15 @@ impl AppState {
             // the log's own (predicted, actual) pairs are the only
             // accuracy signal. Provenance and model version are unknown
             // here, so they land in the dedicated `log` sketch.
-            for &(predicted, actual) in &log.throughput_pairs {
-                let Some(p) = predicted else { continue };
-                match ape(p, actual) {
-                    Some(e) => alarm |= self.monitor.record_log_ape(e),
-                    None => self.monitor.note_unmatched(),
-                }
-            }
+            alarms = self.monitor.score(
+                log.throughput_pairs
+                    .iter()
+                    .filter_map(|&(p, actual)| Some(Outcome::of(SketchKey::Log, p?, actual))),
+            );
         }
         self.logs.lock().push(log);
-        if alarm && self.monitor.config().trigger_refresh {
+        // One upload, one refresh, however many alarms its pairs fired.
+        if alarms > 0 && self.monitor.config().trigger_refresh {
             self.refresh_on_drift();
         }
         self.maybe_compact();

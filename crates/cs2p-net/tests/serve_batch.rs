@@ -14,18 +14,23 @@
 //!   session *states* (identical follow-up probes must answer
 //!   identically) and the quality monitor's APE sketches via `GET /ops`;
 //! - frame-order semantics for same-session entries inside one frame
-//!   (register + several measurements in a single batch).
+//!   (register + several measurements in a single batch);
+//! - a hair-trigger drift alarm firing several times inside one frame:
+//!   the frame's one-lock scoring must fire the same alarms, leave the
+//!   same window, and trigger the same number of model refreshes as the
+//!   singleton expansion.
 
 use cs2p_net::http::{read_response, write_request, Request, Response};
 use cs2p_net::protocol::{
-    BatchPredictRequest, BatchPredictResponse, PredictRequest, PredictResponse,
+    BatchPredictRequest, BatchPredictResponse, PredictRequest, PredictResponse, SessionLog,
 };
-use cs2p_net::{serve_with, OpsSnapshot, ServeConfig, ServerHandle};
+use cs2p_net::{serve_with, OpsSnapshot, QualityConfig, RefreshConfig, ServeConfig, ServerHandle};
 use cs2p_testkit::invariants::assert_serving_concurrency_independence;
 use cs2p_testkit::loadgen::{BatchSpec, LoadConfig};
-use cs2p_testkit::scenarios::tiny_engine;
+use cs2p_testkit::scenarios::{tiny_engine, tiny_train_config};
 use std::io::{BufReader, BufWriter};
 use std::net::{SocketAddr, TcpStream};
+use std::time::Duration;
 
 fn send(addr: SocketAddr, req: &Request) -> Response {
     let stream = TcpStream::connect(addr).unwrap();
@@ -292,6 +297,123 @@ fn same_session_entries_in_one_frame_follow_frame_order() {
     probe_states(a.addr(), b.addr(), 60_001, 2, entries.len());
     let (oa, ob) = (ops(a.addr()), ops(b.addr()));
     assert_eq!(oa.quality, ob.quality);
+    a.shutdown();
+    b.shutdown();
+}
+
+/// A server whose drift alarm fires every few scored samples (low
+/// threshold, no cooldown) and whose alarms retrain from the recorder.
+fn drifting_server() -> ServerHandle {
+    let config = ServeConfig {
+        n_workers: 1,
+        n_shards: 4,
+        queue_depth: 4096,
+        max_sessions: 1 << 20,
+        session_ttl_requests: None,
+        quality: QualityConfig {
+            window: 16,
+            threshold_ape: 0.3,
+            min_samples: 8,
+            cooldown: Duration::ZERO,
+            trigger_refresh: true,
+        },
+        refresh: RefreshConfig {
+            train_config: tiny_train_config(),
+            min_sessions: 12,
+            ..RefreshConfig::default()
+        },
+        ..ServeConfig::default()
+    };
+    serve_with(tiny_engine(), "127.0.0.1:0", config).expect("server starts")
+}
+
+/// Completes `sid` through `/log`, so the recorder keeps it.
+fn log_session(addr: SocketAddr, sid: u64) {
+    let log = SessionLog {
+        session_id: sid,
+        strategy: "CS2P+MPC".into(),
+        qoe: 1.0,
+        avg_bitrate_kbps: 1000.0,
+        good_ratio: 1.0,
+        rebuffer_seconds: 0.0,
+        startup_delay_seconds: 0.5,
+        throughput_pairs: vec![],
+        bitrates_kbps: vec![],
+    };
+    let resp = send(
+        addr,
+        &Request::new("POST", "/log", serde_json::to_vec(&log).unwrap()),
+    );
+    assert_eq!(resp.status, 204);
+}
+
+/// Twin servers with the drift alarm firing mid-frame: 64 sessions
+/// register in one frame, then each epoch of measurements is one
+/// 64-entry frame whose scoring fires several alarms. Server A gets the
+/// singleton expansion, server B the frames. Both must fire the same
+/// alarms, leave the same drift window (median compared by bits), show
+/// the same `/ops` quality rows, and refresh their models as often.
+#[test]
+fn alarms_mid_frame_match_sequential_singles() {
+    const BASE: u64 = 71_000;
+    const N_SESSIONS: u64 = 64;
+    let a = drifting_server();
+    let b = drifting_server();
+    // Identical warm-up on both: twelve accurate sessions, completed
+    // into the recorder so every alarm's refresh actually retrains.
+    let warmup: Vec<PredictRequest> = (0..5)
+        .flat_map(|epoch| {
+            (0..12u64).map(move |sid| PredictRequest {
+                session_id: 70_000 + sid,
+                features: (epoch == 0).then(|| vec![(sid % 2) as u32]),
+                measured_mbps: (epoch > 0).then_some(if sid % 2 == 0 { 1.0 } else { 5.0 }),
+                horizon: 1,
+            })
+        })
+        .collect();
+    for server in [&a, &b] {
+        drive_singleton(server.addr(), &warmup);
+        for sid in 70_000..70_012 {
+            log_session(server.addr(), sid);
+        }
+        assert_eq!(server.recorded_sessions(), 12);
+    }
+    let warm_alarms = a.metrics_snapshot().quality.drift_alarms;
+    let warm_version = a.model_version();
+
+    // Every session registers in the first frame (before any alarm),
+    // so both servers pin the same model whatever the refreshes do.
+    let entries: Vec<PredictRequest> = entry_stream(BASE, N_SESSIONS, 5)
+        .into_iter()
+        .filter(|e| e.session_id != BASE + N_SESSIONS)
+        .collect();
+    let singles = drive_singleton(a.addr(), &entries);
+    let batched = drive_batched(b.addr(), &entries, N_SESSIONS as usize);
+    assert_eq!(singles, batched);
+
+    let (sa, sb) = (a.metrics_snapshot(), b.metrics_snapshot());
+    assert!(
+        sa.quality.drift_alarms >= warm_alarms + 8,
+        "alarms must fire several times per frame: {} after warm-up {}",
+        sa.quality.drift_alarms,
+        warm_alarms
+    );
+    assert_eq!(sa.quality.drift_alarms, sb.quality.drift_alarms);
+    assert_eq!(sa.quality.windowed_samples, sb.quality.windowed_samples);
+    assert_eq!(
+        sa.quality.windowed_median_ape.to_bits(),
+        sb.quality.windowed_median_ape.to_bits()
+    );
+    assert_eq!(ops(a.addr()).quality, ops(b.addr()).quality);
+    assert!(
+        a.model_version() > warm_version,
+        "alarms must trigger refreshes"
+    );
+    assert_eq!(
+        a.model_version(),
+        b.model_version(),
+        "refresh count diverged"
+    );
     a.shutdown();
     b.shutdown();
 }
