@@ -5,11 +5,16 @@
 //! - a client model fits in <5 KB;
 //! - the prediction server sustains hundreds of predictions per second
 //!   (the paper's Node.js server: ~500/s).
+//!
+//! The `codec` group is report-only: it times the wire codec and the WAL
+//! checksum of one `/predict_batch` frame (64 entries, horizon 8).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use cs2p_bench::materials;
 use cs2p_core::{ClientModel, ThroughputPredictor};
+use cs2p_net::protocol::{BatchEntryResult, BatchPredictRequest, BatchPredictResponse};
 use cs2p_net::{serve, PredictRequest, PredictResponse};
+use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -181,8 +186,79 @@ fn bench_server_throughput(c: &mut Criterion) {
     server.shutdown();
 }
 
+fn bench_codec(c: &mut Criterion) {
+    let m = materials();
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
+    // Every value a full-service server reads out: state means and
+    // initial medians (Algorithm 1's MLE readout).
+    let served: Vec<f64> = m
+        .engine
+        .models()
+        .iter()
+        .flat_map(|mo| {
+            let means = mo.hmm.emissions.iter().map(|e| e.mean());
+            means.chain([mo.initial_median])
+        })
+        .collect();
+    let frame = |predictions: &mut dyn FnMut() -> f64| BatchPredictResponse {
+        results: (0..64)
+            .map(|_| {
+                BatchEntryResult::ok(PredictResponse {
+                    predictions_mbps: (0..8).map(|_| predictions()).collect(),
+                    initial: false,
+                    cluster_sessions: 250,
+                    cluster_hit: true,
+                    model_version: 1,
+                    degradation: None,
+                })
+            })
+            .collect(),
+    };
+    let means = frame(&mut || served[rng.gen_range(0..served.len())]);
+    // Sixteen frames of fresh random values, cycled: a value comes back
+    // after 8k other writes to the 1024-slot memo, long evicted.
+    let distinct: Vec<BatchPredictResponse> = (0..16)
+        .map(|_| frame(&mut || rng.gen_range(0.05..50.0)))
+        .collect();
+    let request = BatchPredictRequest {
+        entries: (0..64)
+            .map(|k| PredictRequest {
+                session_id: 1 + k,
+                features: None,
+                measured_mbps: Some(rng.gen_range(0.05..50.0)),
+                horizon: 8,
+            })
+            .collect(),
+    }
+    .to_json_bytes();
+    // An Update record of a 5-state session: tag, id, tick, measurement,
+    // observed length, posterior, epoch and pending prediction.
+    let record: Vec<u8> = (0..107).map(|_| rng.gen()).collect();
+
+    let mut g = c.benchmark_group("codec");
+    g.sample_size(30);
+    g.bench_function("decode_frame_64", |b| {
+        b.iter(|| black_box(BatchPredictRequest::from_json_bytes(black_box(&request)).unwrap()))
+    });
+    g.bench_function("encode_response_64_state_means", |b| {
+        b.iter(|| black_box(means.to_json_bytes()))
+    });
+    let mut next = 0;
+    g.bench_function("encode_response_64_distinct", |b| {
+        b.iter(|| {
+            next = (next + 1) % distinct.len();
+            black_box(distinct[next].to_json_bytes())
+        })
+    });
+    g.bench_function("crc32_107B", |b| {
+        b.iter(|| black_box(cs2p_net::persist::crc32(black_box(&record))))
+    });
+    g.finish();
+}
+
 criterion_group!(
     perf,
+    bench_codec,
     bench_prediction_latency,
     bench_fast_mpc,
     bench_training,

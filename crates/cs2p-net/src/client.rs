@@ -452,7 +452,7 @@ impl HttpClient {
         };
         match resp.status {
             200..=299 => {
-                let bresp: BatchPredictResponse = serde_json::from_slice(&resp.body)
+                let bresp = BatchPredictResponse::from_json_bytes(&resp.body)
                     .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
                 if bresp.results.len() != entries.len() {
                     return Err(io::Error::new(
@@ -759,14 +759,14 @@ impl RemotePredictor {
                 measured_mbps: self.pending_measurement,
                 horizon: self.fetch_horizon.max(k),
             };
-            let body = serde_json::to_vec(&preq).ok()?;
+            let body = preq.to_json_bytes();
             let resp = self
                 .client
                 .send(&Request::new("POST", "/predict", body))
                 .ok()?;
             match resp.status {
                 200..=299 => {
-                    let presp: PredictResponse = serde_json::from_slice(&resp.body).ok()?;
+                    let presp = PredictResponse::from_json_bytes(&resp.body).ok()?;
                     self.registered = true;
                     self.pending_measurement = None;
                     self.cache = presp.predictions_mbps;

@@ -69,9 +69,11 @@ const MAX_RECORD_LEN: u32 = 16 * 1024 * 1024;
 /// Bytes of framing per record: a `u32` length plus a `u32` CRC32.
 const FRAME_HEADER: usize = 8;
 
-/// CRC32 (IEEE 802.3, reflected) lookup table, built at compile time.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC32 (IEEE 802.3, reflected) slicing-by-8 tables, built at compile
+/// time. `CRC32_TABLES[0]` is the classic bytewise table; entry `i` of
+/// table `k` is the CRC of byte `i` followed by `k` zero bytes.
+const CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -84,18 +86,44 @@ const CRC32_TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
 /// CRC32 (IEEE) of `bytes` — the checksum guarding every WAL frame.
-/// Hand-rolled (table-driven) because the workspace vendors no CRC crate.
+/// Hand-rolled because the workspace vendors no CRC crate: slicing-by-8
+/// folds eight bytes per step through eight tables, and the tail goes
+/// bytewise.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut crc = !0u32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -720,12 +748,18 @@ impl WalRecord {
     /// Encodes this record into its binary WAL payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64);
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends this record's binary WAL payload to `out`.
+    fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             WalRecord::Register { id, tick, session } => {
                 out.push(TAG_REGISTER);
-                put_u64(&mut out, *id);
-                put_u64(&mut out, *tick);
-                put_session(&mut out, session);
+                put_u64(out, *id);
+                put_u64(out, *tick);
+                put_session(out, session);
             }
             WalRecord::Update {
                 id,
@@ -736,19 +770,18 @@ impl WalRecord {
                 pending,
             } => {
                 out.push(TAG_UPDATE);
-                put_u64(&mut out, *id);
-                put_u64(&mut out, *tick);
-                put_opt_f64(&mut out, *measured);
-                put_u64(&mut out, *observed_len);
-                put_filter(&mut out, filter);
-                put_pending(&mut out, pending);
+                put_u64(out, *id);
+                put_u64(out, *tick);
+                put_opt_f64(out, *measured);
+                put_u64(out, *observed_len);
+                put_filter(out, filter);
+                put_pending(out, pending);
             }
             WalRecord::Remove { id } => {
                 out.push(TAG_REMOVE);
-                put_u64(&mut out, *id);
+                put_u64(out, *id);
             }
         }
-        out
     }
 
     /// Decodes a binary WAL payload. `None` on any malformation —
@@ -1022,7 +1055,18 @@ impl SessionPersist {
     /// the shard's mutation order) and lands the group with one
     /// [`log_staged`](Self::log_staged) call.
     pub fn stage(&self, record: &WalRecord, batch: &mut WalBatch) {
-        frame_into(&mut batch.framed, &record.encode());
+        // Encoded in place behind a reserved header, which is patched
+        // once the payload's length and CRC are known: the same frame
+        // `frame_into` writes, without a payload buffer of its own.
+        let framed = &mut batch.framed;
+        let header = framed.len();
+        framed.extend_from_slice(&[0; FRAME_HEADER]);
+        record.encode_into(framed);
+        let payload = &framed[header + FRAME_HEADER..];
+        let len = (payload.len() as u32).to_le_bytes();
+        let crc = crc32(payload).to_le_bytes();
+        framed[header..header + 4].copy_from_slice(&len);
+        framed[header + 4..header + FRAME_HEADER].copy_from_slice(&crc);
         batch.records += 1;
     }
 
@@ -1248,6 +1292,72 @@ mod tests {
         // IEEE CRC32 check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The bytewise table walk: the reference slicing-by-8 must match.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc = (crc >> 8) ^ CRC32_TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
+        }
+        !crc
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn crc32_matches_the_bytewise_reference(
+            len in 0usize..=4096,
+            fill in proptest::prelude::any::<u64>(),
+        ) {
+            // Every start offset mod 8, so the eight-byte steps meet the
+            // buffer at each alignment and leave every tail length.
+            let mut x = fill | 1;
+            let bytes: Vec<u8> = (0..len + 7)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    x as u8
+                })
+                .collect();
+            for offset in 0..8 {
+                let slice = &bytes[offset..offset + len];
+                proptest::prop_assert_eq!(crc32(slice), crc32_bytewise(slice), "len {} offset {}", len, offset);
+            }
+        }
+    }
+
+    #[test]
+    fn staged_frames_match_framed_encodes() {
+        let dir = temp_dir("stage");
+        let clock: Arc<dyn Clock> = Arc::new(ManualClock::new());
+        let persist = SessionPersist::create(&dir, clock, &PersistConfig::default()).unwrap();
+        let records = [
+            WalRecord::Update {
+                id: 7,
+                tick: 3,
+                measured: Some(2.5),
+                observed_len: 4,
+                filter: FilterState {
+                    posterior: vec![0.25, 0.75],
+                    epoch: 4,
+                },
+                pending: Some(PersistedPending {
+                    value: 1.5,
+                    initial: false,
+                }),
+            },
+            WalRecord::Remove { id: 9 },
+        ];
+        let mut batch = WalBatch::default();
+        let mut expected = Vec::new();
+        for record in &records {
+            persist.stage(record, &mut batch);
+            frame_into(&mut expected, &record.encode());
+        }
+        assert_eq!(batch.framed, expected);
+        assert_eq!(batch.records, 2);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

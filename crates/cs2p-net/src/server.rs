@@ -39,8 +39,8 @@ use crate::persist::{
 };
 use crate::pool::BoundedQueue;
 use crate::protocol::{
-    parse_features_query, BatchEntryResult, BatchPredictRequest, BatchPredictResponse, Degradation,
-    Health, PredictRequest, PredictResponse, SessionLog, MAX_BATCH_ENTRIES,
+    parse_features_query, BatchEntryResult, BatchPredictRequest, BatchPredictResponse, DecodeError,
+    Degradation, Health, PredictRequest, PredictResponse, SessionLog,
 };
 use crate::quality::{Outcome, QualityConfig, QualityMonitor, SketchKey};
 use crate::recorder::SessionRecorder;
@@ -921,7 +921,7 @@ impl AppState {
     }
 
     fn handle_predict(&self, req: &Request) -> Response {
-        let Ok(preq) = serde_json::from_slice::<PredictRequest>(&req.body) else {
+        let Ok(preq) = PredictRequest::from_json_bytes(&req.body) else {
             return Response::error(400, "malformed PredictRequest");
         };
         if let Err((status, msg)) = Self::validate_predict(&preq) {
@@ -947,7 +947,7 @@ impl AppState {
                 if cs2p_obs::enabled() {
                     cs2p_obs::counter_add("predict.server.served", 1);
                 }
-                return Response::json(serde_json::to_vec(&resp).unwrap());
+                return Response::json(resp.to_json_bytes());
             }
             AdmissionLevel::Full | AdmissionLevel::Degraded => {}
         }
@@ -985,7 +985,7 @@ impl AppState {
             cs2p_obs::gauge_set("serve.sessions", self.sessions.len() as f64);
         }
         self.maybe_compact();
-        Response::json(serde_json::to_vec(&resp).unwrap())
+        Response::json(resp.to_json_bytes())
     }
 
     /// `POST /predict_batch`: many prediction entries in one frame.
@@ -999,15 +999,18 @@ impl AppState {
     /// shard locks are dropped and then runs in frame order, matching
     /// the sequential path's monitor-call order.
     fn handle_predict_batch(&self, req: &Request) -> Response {
-        let Ok(breq) = serde_json::from_slice::<BatchPredictRequest>(&req.body) else {
-            return Response::error(400, "malformed BatchPredictRequest");
+        // The reader refuses a frame over the cap at its first entry past
+        // it, so an oversized body is never built.
+        let breq = match BatchPredictRequest::from_json_bytes(&req.body) {
+            Ok(breq) => breq,
+            Err(DecodeError::TooLarge) => return Response::error(400, "batch too large"),
+            Err(DecodeError::Malformed) => {
+                return Response::error(400, "malformed BatchPredictRequest")
+            }
         };
         let n = breq.entries.len();
         if n == 0 {
             return Response::error(400, "empty batch");
-        }
-        if n > MAX_BATCH_ENTRIES {
-            return Response::error(400, "batch too large");
         }
 
         // One level per frame (read once), like the singleton endpoint.
@@ -2044,6 +2047,7 @@ fn serve_turn(mut conn: Conn, shared: &Shared, scratch: &mut IoScratch) {
 mod tests {
     use super::*;
     use crate::http::{read_response, write_request};
+    use crate::protocol::MAX_BATCH_ENTRIES;
     use cs2p_testkit::scenarios::tiny_engine;
 
     fn send(addr: SocketAddr, req: &Request) -> Response {
@@ -2436,6 +2440,29 @@ mod tests {
             0,
             "rejected batches serve nothing"
         );
+        server.shutdown();
+    }
+
+    #[test]
+    fn oversized_batch_is_refused_before_its_tail_is_read() {
+        let server = serve(tiny_engine(), "127.0.0.1:0").unwrap();
+        // 1025 well-formed entries, then garbage as entry 1026: the frame
+        // is refused as too large at entry 1025, before the garbage.
+        let entries: Vec<PredictRequest> = (0..=MAX_BATCH_ENTRIES as u64)
+            .map(|sid| PredictRequest {
+                session_id: sid,
+                features: Some(vec![0]),
+                measured_mbps: None,
+                horizon: 1,
+            })
+            .collect();
+        let mut body = BatchPredictRequest { entries }.to_json_bytes();
+        body.truncate(body.len() - 2);
+        body.extend_from_slice(b",{not json}]}");
+        let resp = send(server.addr(), &Request::new("POST", "/predict_batch", body));
+        assert_eq!(resp.status, 400);
+        assert_eq!(&resp.body[..], b"batch too large");
+        assert_eq!(server.predictions_served(), 0);
         server.shutdown();
     }
 

@@ -1,16 +1,21 @@
 //! Property tests for the wire protocol (`cs2p-net/src/protocol.rs`):
-//! every message type round-trips through its JSON encoding, and a live
-//! server answers malformed, truncated, and oversized frames with an
+//! every message type round-trips through its JSON encoding, the direct
+//! reader and writers agree with the serde oracle on every input, and a
+//! live server answers malformed, truncated, and oversized frames with an
 //! error response or a clean close — never a panic or a hung connection.
 
 use cs2p_net::http::{read_response, Response, MAX_BODY_BYTES};
 use cs2p_net::protocol::{
-    BatchEntryResult, BatchPredictRequest, BatchPredictResponse, Degradation, Health, LogStats,
-    PredictRequest, PredictResponse, SessionLog, StrategyStats, MAX_BATCH_ENTRIES,
+    BatchEntryResult, BatchPredictRequest, BatchPredictResponse, DecodeError, Degradation, Health,
+    LogStats, PredictRequest, PredictResponse, SessionLog, StrategyStats, MAX_BATCH_ENTRIES,
 };
 use cs2p_net::{serve, ServerHandle};
 use cs2p_testkit::scenarios::tiny_engine;
 use proptest::prelude::*;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
+use std::fmt::Write as _;
 use std::io::{BufReader, ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::sync::OnceLock;
@@ -209,6 +214,474 @@ proptest! {
             mean_startup_seconds: means.4,
         };
         prop_assert_eq!(roundtrip(&s), s);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Direct codec vs the serde oracle
+// ---------------------------------------------------------------------------
+
+/// A JSON document as the test renders it. Scalars keep their token
+/// text, so a mutation can respell a number (`-0`, `1.0`, `1e0`) the
+/// serializer would never write.
+#[derive(Clone)]
+enum Doc {
+    Token(String),
+    Str(String),
+    Arr(Vec<Doc>),
+    Obj(Vec<(String, Doc)>),
+}
+
+fn doc_of(v: &serde::Value) -> Doc {
+    match v {
+        serde::Value::Str(s) => Doc::Str(s.clone()),
+        serde::Value::Array(items) => Doc::Arr(items.iter().map(doc_of).collect()),
+        serde::Value::Object(fields) => {
+            Doc::Obj(fields.iter().map(|(k, v)| (k.clone(), doc_of(v))).collect())
+        }
+        scalar => Doc::Token(serde_json::to_string(scalar).unwrap()),
+    }
+}
+
+/// Number spellings at the edges of the integer and float typing rules.
+const NUMBER_TOKENS: [&str; 20] = [
+    "0",
+    "-0",
+    "7",
+    "-1",
+    "1.0",
+    "1e0",
+    "2.5",
+    "-0.0",
+    "1e999",
+    "0.1e-2",
+    "1E+2",
+    "65535",
+    "65536",
+    "4294967295",
+    "4294967296",
+    "9223372036854775807",
+    "9223372036854775808",
+    "18446744073709551615",
+    "18446744073709551616",
+    "-9223372036854775809",
+];
+
+/// Field names of every prediction message (and one that is none).
+const NAMES: [&str; 14] = [
+    "session_id",
+    "features",
+    "measured_mbps",
+    "horizon",
+    "entries",
+    "predictions_mbps",
+    "initial",
+    "cluster_sessions",
+    "cluster_hit",
+    "model_version",
+    "degradation",
+    "results",
+    "status",
+    "response",
+];
+
+fn random_text(rng: &mut ChaCha8Rng) -> String {
+    let chars = [
+        'a',
+        's',
+        '_',
+        '"',
+        '\\',
+        '/',
+        ' ',
+        'é',
+        '\u{1F600}',
+        '\u{1}',
+        '\u{08}',
+        '\u{0C}',
+        '\n',
+        '\r',
+        '\t',
+    ];
+    (0..rng.gen_range(0..6))
+        .map(|_| *chars.choose(rng).unwrap())
+        .collect()
+}
+
+fn random_doc(rng: &mut ChaCha8Rng, depth: usize) -> Doc {
+    let kinds = if depth >= 3 { 4 } else { 6 };
+    match rng.gen_range(0..kinds) {
+        0 => Doc::Token(["null", "true", "false"].choose(rng).unwrap().to_string()),
+        1 => Doc::Token(NUMBER_TOKENS.choose(rng).unwrap().to_string()),
+        2 => Doc::Str(random_text(rng)),
+        3 => Doc::Str(NAMES.choose(rng).unwrap().to_string()),
+        4 => Doc::Arr(
+            (0..rng.gen_range(0..4))
+                .map(|_| random_doc(rng, depth + 1))
+                .collect(),
+        ),
+        _ => Doc::Obj(
+            (0..rng.gen_range(0..4))
+                .map(|_| {
+                    let key = if rng.gen_bool(0.5) {
+                        NAMES.choose(rng).unwrap().to_string()
+                    } else {
+                        random_text(rng)
+                    };
+                    (key, random_doc(rng, depth + 1))
+                })
+                .collect(),
+        ),
+    }
+}
+
+/// Applies the edits the reader must type exactly as serde does: key
+/// order, unknown keys with nested values, duplicate keys, explicit
+/// `null`s, dropped fields, respelled numbers, and the odd value of the
+/// wrong type.
+fn perturb(doc: &mut Doc, rng: &mut ChaCha8Rng) {
+    match doc {
+        Doc::Obj(fields) => {
+            for (_, v) in fields.iter_mut() {
+                perturb(v, rng);
+            }
+            fields.shuffle(rng);
+            if rng.gen_bool(0.3) {
+                let at = rng.gen_range(0..=fields.len());
+                fields.insert(at, (random_text(rng), random_doc(rng, 0)));
+            }
+            if rng.gen_bool(0.2) && !fields.is_empty() {
+                let (key, value) = fields[rng.gen_range(0..fields.len())].clone();
+                let value = if rng.gen_bool(0.5) {
+                    value
+                } else {
+                    random_doc(rng, 1)
+                };
+                let at = rng.gen_range(0..=fields.len());
+                fields.insert(at, (key, value));
+            }
+            if rng.gen_bool(0.2) {
+                let name = [
+                    "features",
+                    "measured_mbps",
+                    "degradation",
+                    "response",
+                    "error",
+                ]
+                .choose(rng)
+                .unwrap();
+                let at = rng.gen_range(0..=fields.len());
+                fields.insert(at, (name.to_string(), Doc::Token("null".into())));
+            }
+            if rng.gen_bool(0.05) && !fields.is_empty() {
+                fields.remove(rng.gen_range(0..fields.len()));
+            }
+        }
+        Doc::Arr(items) => {
+            for item in items {
+                perturb(item, rng);
+            }
+        }
+        Doc::Token(t) => {
+            if rng.gen_bool(0.1) {
+                *t = match rng.gen_range(0..3) {
+                    0 if t.parse::<i128>().is_ok() => format!("{t}.0"),
+                    1 if t.parse::<i128>().is_ok() => format!("{t}e0"),
+                    _ => NUMBER_TOKENS.choose(rng).unwrap().to_string(),
+                };
+            }
+        }
+        Doc::Str(text) => {
+            if rng.gen_bool(0.3) {
+                *text = random_text(rng);
+            }
+        }
+    }
+    if rng.gen_bool(0.02) {
+        *doc = random_doc(rng, 1);
+    }
+}
+
+fn whitespace(rng: &mut ChaCha8Rng, out: &mut String) {
+    while rng.gen_bool(0.15) {
+        out.push(*[' ', '\t', '\n', '\r'].choose(rng).unwrap());
+    }
+}
+
+/// Writes `s` as a JSON string, escaping some characters that need no
+/// escape (`\u` forms, surrogate pairs above the BMP, `\/`).
+fn render_str(s: &str, rng: &mut ChaCha8Rng, out: &mut String) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '/' if rng.gen_bool(0.3) => out.push_str("\\/"),
+            '\u{08}' if rng.gen_bool(0.5) => out.push_str("\\b"),
+            '\u{0C}' if rng.gen_bool(0.5) => out.push_str("\\f"),
+            '\n' if rng.gen_bool(0.5) => out.push_str("\\n"),
+            '\r' if rng.gen_bool(0.5) => out.push_str("\\r"),
+            '\t' if rng.gen_bool(0.5) => out.push_str("\\t"),
+            c if (c as u32) < 0x20 || rng.gen_bool(0.1) => {
+                for unit in c.encode_utf16(&mut [0; 2]) {
+                    let _ = write!(out, "\\u{unit:04x}");
+                }
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+fn render(doc: &Doc, rng: &mut ChaCha8Rng, out: &mut String) {
+    whitespace(rng, out);
+    match doc {
+        Doc::Token(t) => out.push_str(t),
+        Doc::Str(s) => render_str(s, rng, out),
+        Doc::Arr(items) => {
+            out.push('[');
+            for (k, item) in items.iter().enumerate() {
+                if k > 0 {
+                    out.push(',');
+                }
+                render(item, rng, out);
+                whitespace(rng, out);
+            }
+            whitespace(rng, out);
+            out.push(']');
+        }
+        Doc::Obj(fields) => {
+            out.push('{');
+            for (k, (key, value)) in fields.iter().enumerate() {
+                if k > 0 {
+                    out.push(',');
+                }
+                whitespace(rng, out);
+                render_str(key, rng, out);
+                whitespace(rng, out);
+                out.push(':');
+                render(value, rng, out);
+                whitespace(rng, out);
+            }
+            whitespace(rng, out);
+            out.push('}');
+        }
+    }
+    whitespace(rng, out);
+}
+
+/// One byte-level fault: a truncation, a flipped or replaced byte, or an
+/// inserted byte.
+fn corrupt(bytes: &[u8], rng: &mut ChaCha8Rng) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    match rng.gen_range(0..3) {
+        0 => out.truncate(rng.gen_range(0..=out.len())),
+        1 if !out.is_empty() => {
+            let at = rng.gen_range(0..out.len());
+            out[at] = if rng.gen_bool(0.5) {
+                rng.gen()
+            } else {
+                out[at] ^ (1u8 << rng.gen_range(0..8u32))
+            };
+        }
+        _ => {
+            let at = rng.gen_range(0..=out.len());
+            let byte = if rng.gen_bool(0.5) {
+                *b"{}[],:\"\\-.e0 n".choose(rng).unwrap()
+            } else {
+                rng.gen()
+            };
+            out.insert(at, byte);
+        }
+    }
+    out
+}
+
+/// A value tree with every float replaced by its bit pattern, so `-0.0`
+/// and `0.0` differ and NaN equals NaN.
+fn bits_of(v: serde::Value) -> serde::Value {
+    match v {
+        serde::Value::Float(f) => serde::Value::Str(format!("f64:{:016x}", f.to_bits())),
+        serde::Value::Array(items) => serde::Value::Array(items.into_iter().map(bits_of).collect()),
+        serde::Value::Object(fields) => {
+            serde::Value::Object(fields.into_iter().map(|(k, v)| (k, bits_of(v))).collect())
+        }
+        other => other,
+    }
+}
+
+/// A prediction message with a direct reader.
+trait Wire: serde::Serialize + serde::de::DeserializeOwned + std::fmt::Debug {
+    fn direct(bytes: &[u8]) -> Result<Self, DecodeError>;
+
+    /// Whether refusing the body as too large is right, given the oracle.
+    fn too_large(_oracle: &serde_json::Result<Self>) -> bool {
+        false
+    }
+}
+
+impl Wire for PredictRequest {
+    fn direct(bytes: &[u8]) -> Result<Self, DecodeError> {
+        PredictRequest::from_json_bytes(bytes)
+    }
+}
+
+impl Wire for BatchPredictRequest {
+    fn direct(bytes: &[u8]) -> Result<Self, DecodeError> {
+        BatchPredictRequest::from_json_bytes(bytes)
+    }
+
+    fn too_large(oracle: &serde_json::Result<Self>) -> bool {
+        oracle
+            .as_ref()
+            .map_or(true, |b| b.entries.len() > MAX_BATCH_ENTRIES)
+    }
+}
+
+impl Wire for PredictResponse {
+    fn direct(bytes: &[u8]) -> Result<Self, DecodeError> {
+        PredictResponse::from_json_bytes(bytes)
+    }
+}
+
+impl Wire for BatchPredictResponse {
+    fn direct(bytes: &[u8]) -> Result<Self, DecodeError> {
+        BatchPredictResponse::from_json_bytes(bytes)
+    }
+}
+
+/// The reader and the oracle give the same value (floats by bits), or
+/// both refuse the body.
+fn agree<T: Wire>(bytes: &[u8]) -> Result<(), String> {
+    let oracle = serde_json::from_slice::<T>(bytes);
+    let direct = T::direct(bytes);
+    let same = match (&oracle, &direct) {
+        (Ok(a), Ok(b)) => bits_of(a.to_value()) == bits_of(b.to_value()),
+        (Err(_), Err(DecodeError::Malformed)) => true,
+        (_, Err(DecodeError::TooLarge)) => T::too_large(&oracle),
+        _ => false,
+    };
+    if same {
+        Ok(())
+    } else {
+        Err(format!(
+            "reader and oracle disagree on {:?}: oracle {oracle:?}, reader {direct:?}",
+            String::from_utf8_lossy(bytes)
+        ))
+    }
+}
+
+/// Holds the reader to the oracle on `msg`'s canonical bytes, on
+/// re-rendered variants of it, and on byte-level faults of both.
+fn agree_around<T: Wire>(msg: &T, rng: &mut ChaCha8Rng) -> Result<(), String> {
+    let canonical = serde_json::to_vec(msg).unwrap();
+    agree::<T>(&canonical)?;
+    let doc = doc_of(&msg.to_value());
+    for _ in 0..6 {
+        let mut variant = doc.clone();
+        perturb(&mut variant, rng);
+        let mut text = String::new();
+        render(&variant, rng, &mut text);
+        agree::<T>(text.as_bytes())?;
+        agree::<T>(&corrupt(text.as_bytes(), rng))?;
+        agree::<T>(&corrupt(&canonical, rng))?;
+    }
+    Ok(())
+}
+
+fn arb_predict_response() -> impl Strategy<Value = PredictResponse> {
+    (
+        prop::collection::vec(any::<u64>(), 0..6),
+        any::<bool>(),
+        0usize..1_000_000,
+        any::<bool>(),
+        any::<u64>(),
+        arb_degradation(),
+    )
+        .prop_map(
+            |(bits, initial, cluster_sessions, cluster_hit, model_version, degradation)| {
+                PredictResponse {
+                    // Any bit pattern: NaN and the infinities go out as
+                    // `null`, subnormals and `-0.0` as themselves.
+                    predictions_mbps: bits.into_iter().map(f64::from_bits).collect(),
+                    initial,
+                    cluster_sessions,
+                    cluster_hit,
+                    model_version,
+                    degradation,
+                }
+            },
+        )
+}
+
+proptest! {
+    #[test]
+    fn wire_codec_matches_serde_oracle(
+        req in arb_predict_request(),
+        entries in prop::collection::vec(arb_predict_request(), 0..5),
+        resp in arb_predict_response(),
+        results in prop::collection::vec(arb_batch_entry_result(), 0..5),
+        seed in any::<u64>(),
+    ) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        agree_around(&req, &mut rng)?;
+        agree_around(&BatchPredictRequest { entries }, &mut rng)?;
+        agree_around(&resp, &mut rng)?;
+        agree_around(&BatchPredictResponse { results }, &mut rng)?;
+    }
+
+    #[test]
+    fn wire_codec_float_memo_matches_display(
+        bits in prop::collection::vec(any::<u64>(), 1..64),
+        measured in any::<u64>(),
+    ) {
+        let mut values: Vec<f64> = bits.iter().map(|&b| f64::from_bits(b)).collect();
+        // Subnormals (zero exponent) and integral values of the same draws.
+        values.extend(bits.iter().map(|&b| f64::from_bits(b & 0x800F_FFFF_FFFF_FFFF)));
+        values.extend(bits.iter().map(|&b| (b % 1_000_000) as f64));
+        values.extend([
+            0.0, -0.0, 5e-324, 1.0, -3.0, 1e21, 1e300, 0.1,
+            f64::NAN, f64::INFINITY, f64::NEG_INFINITY,
+        ]);
+        // More distinct values than the memo has slots, so some collide.
+        values.extend((0..2048).map(|k| f64::from_bits(measured.wrapping_add(k) >> 2)));
+        let resp = PredictResponse {
+            predictions_mbps: values,
+            initial: false,
+            cluster_sessions: 1,
+            cluster_hit: true,
+            model_version: 1,
+            degradation: None,
+        };
+        let req = PredictRequest {
+            session_id: 1,
+            features: None,
+            measured_mbps: Some(f64::from_bits(measured)),
+            horizon: 1,
+        };
+        // Each value is written again once it is in the memo (or evicted).
+        for _ in 0..2 {
+            prop_assert_eq!(resp.to_json_bytes(), serde_json::to_vec(&resp).unwrap());
+            prop_assert_eq!(req.to_json_bytes(), serde_json::to_vec(&req).unwrap());
+        }
+    }
+}
+
+/// Unknown values nested around the 128-level limit are refused by the
+/// reader exactly where the oracle's parser refuses them.
+#[test]
+fn wire_codec_depth_limit_matches_serde_oracle() {
+    for depth in 120..135 {
+        let nested = "[".repeat(depth) + &"]".repeat(depth);
+        let req = format!(r#"{{"x":{nested},"session_id":1,"horizon":1}}"#);
+        agree::<PredictRequest>(req.as_bytes()).unwrap();
+        let batch = format!(r#"{{"entries":[{{"session_id":1,"horizon":1,"x":{nested}}}]}}"#);
+        agree::<BatchPredictRequest>(batch.as_bytes()).unwrap();
+        let results = format!(
+            r#"{{"results":[{{"status":200,"response":{{"x":{nested},"predictions_mbps":[],
+               "initial":true,"cluster_sessions":1,"cluster_hit":true,"model_version":1}}}}]}}"#
+        );
+        agree::<BatchPredictResponse>(results.as_bytes()).unwrap();
     }
 }
 
