@@ -7,11 +7,13 @@
 //!   (the paper's Node.js server: ~500/s).
 //!
 //! The `codec` group is report-only: it times the wire codec and the WAL
-//! checksum of one `/predict_batch` frame (64 entries, horizon 8).
+//! checksum of one `/predict_batch` frame (64 entries, horizon 8). So is
+//! `training/spec_search_small_seed1`, which times the Eq. 3 spec search
+//! (phase 1 of engine training) on the `EvalConfig::small()` world.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use cs2p_bench::materials;
-use cs2p_core::{ClientModel, ThroughputPredictor};
+use cs2p_core::{ClientModel, ClusterFinder, FeatureVector, ThroughputPredictor};
 use cs2p_net::protocol::{BatchEntryResult, BatchPredictRequest, BatchPredictResponse};
 use cs2p_net::{serve, PredictRequest, PredictResponse};
 use rand::{Rng, SeedableRng};
@@ -117,6 +119,27 @@ fn bench_training(c: &mut Criterion) {
             ..Default::default()
         };
         b.iter(|| black_box(cs2p_ml::hmm::train(&sequences, &cfg)))
+    });
+
+    // Phase 1 of `PredictionEngine::train` on the seed-1 day-1 split:
+    // build the finder, then run one Eq. 3 search per distinct feature
+    // combination at the training reference time, on the engine's
+    // thread count.
+    let engine = m.config.engine();
+    let mut combos: Vec<FeatureVector> = m
+        .train
+        .sessions()
+        .iter()
+        .map(|s| s.features.clone())
+        .collect();
+    combos.sort_by(|a, b| a.0.cmp(&b.0));
+    combos.dedup();
+    let reference = m.train.sessions().last().map_or(0, |s| s.end_time() + 1);
+    g.bench_function("spec_search_small_seed1", |b| {
+        b.iter(|| {
+            let finder = ClusterFinder::new(&m.train, engine.cluster.clone());
+            black_box(finder.find_best_specs(&combos, reference, engine.n_threads))
+        })
     });
     g.finish();
 }

@@ -18,12 +18,22 @@
 //! of sessions are discarded, and when nothing qualifies the search
 //! regresses to the global model (empty feature set, all history) — the
 //! paper reports ~4% of sessions take this fallback.
+//!
+//! Searches run in batches that share a start time
+//! ([`ClusterFinder::find_best_specs`]; training runs every feature combo
+//! as one). A batch first tabulates `F(Agg(spec, s'))` for every `s'` in
+//! its `Est` pools. Sessions are start-ordered within each cluster key,
+//! so `Agg(spec, s')` is a contiguous run of the key's members, and one
+//! sliding-window sweep per key fills a spec's column with medians of
+//! the same multisets, hence the same bits, as [`ClusterFinder::median_initial`]
+//! (DESIGN.md §7 lists the rules).
 
 use crate::dataset::{Dataset, FeatureIndex};
+use crate::engine::run_parallel;
 use crate::features::{FeatureSet, FeatureVector};
 use crate::metrics::abs_normalized_error;
 use crate::timewin::TimeWindow;
-use parking_lot::Mutex;
+use cs2p_ml::stats::percentile_of_sorted;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -140,15 +150,15 @@ pub fn auto_est_feature_set(dataset: &Dataset, min_pool: usize) -> FeatureSet {
 
 /// Runs clustering searches against one dataset, with per-feature-set
 /// indexes built once.
+///
+/// Each [`find_best_specs`](Self::find_best_specs) call builds the
+/// `F(Agg(spec, s'))` table its searches read and drops it when it
+/// returns, so a finder keeps no state between searches.
 pub struct ClusterFinder<'a> {
     dataset: &'a Dataset,
     config: ClusterConfig,
     candidate_sets: Vec<FeatureSet>,
     indexes: HashMap<FeatureSet, FeatureIndex<'a>>,
-    /// Memoizes `F(Agg(spec, s'))` per `(spec, s')`. The Eq. 3 search
-    /// re-evaluates the same pairs for every target whose `Est` pool
-    /// overlaps, which in a real dataset is nearly all of them.
-    pred_cache: Mutex<HashMap<(ClusterSpec, usize), Option<f64>>>,
 }
 
 impl<'a> ClusterFinder<'a> {
@@ -177,7 +187,6 @@ impl<'a> ClusterFinder<'a> {
             config,
             candidate_sets,
             indexes,
-            pred_cache: Mutex::new(HashMap::new()),
         }
     }
 
@@ -251,31 +260,63 @@ impl<'a> ClusterFinder<'a> {
         cs2p_ml::stats::median(&initials)
     }
 
-    /// Cached `F(Agg(spec, s'))`: the cluster-median prediction the spec
-    /// would have made for training session `s'` at its own start time.
-    fn predicted_initial_for(&self, spec: ClusterSpec, session_idx: usize) -> Option<f64> {
-        if let Some(&cached) = self.pred_cache.lock().get(&(spec, session_idx)) {
-            return cached;
-        }
-        let s_prime = self.dataset.get(session_idx);
-        let agg = self.aggregate(spec, &s_prime.features, s_prime.start_time);
-        let pred = self.median_initial(&agg);
-        self.pred_cache.lock().insert((spec, session_idx), pred);
-        pred
+    /// Finds `M*_s` for a target session (Eq. 2–3): a
+    /// [`find_best_specs`](Self::find_best_specs) batch of one.
+    pub fn find_best_spec(&self, features: &FeatureVector, start: u64) -> SpecSearch {
+        self.find_best_specs(std::slice::from_ref(features), start, 1)
+            .pop()
+            .expect("one search per target")
     }
 
-    /// Finds `M*_s` for a target session (Eq. 2–3).
-    pub fn find_best_spec(&self, features: &FeatureVector, start: u64) -> SpecSearch {
-        let est = self.estimation_pool(features, start);
+    /// Finds `M*_s` for every target starting at `start`, in target order.
+    ///
+    /// Builds the `Est` pools, then one `F(Agg(spec, s'))` table over the
+    /// sessions they hold, then runs the searches against it. The table and
+    /// the searches fan out over `n_threads` workers (as in
+    /// [`EngineConfig::n_threads`](crate::engine::EngineConfig::n_threads));
+    /// results do not depend on the thread count.
+    pub fn find_best_specs(
+        &self,
+        targets: &[FeatureVector],
+        start: u64,
+        n_threads: usize,
+    ) -> Vec<SpecSearch> {
+        let pools: Vec<Vec<usize>> = run_parallel(n_threads, targets.len(), |i| {
+            self.estimation_pool(&targets[i], start)
+        });
+        let table = PredictionTable::build(self, &pools, n_threads);
+        run_parallel(n_threads, targets.len(), |i| {
+            self.search(&targets[i], start, &pools[i], &table)
+        })
+    }
+
+    /// One Eq. 3 search, reading `F(Agg(spec, s'))` from `table`.
+    fn search(
+        &self,
+        features: &FeatureVector,
+        start: u64,
+        est: &[usize],
+        table: &PredictionTable,
+    ) -> SpecSearch {
+        // `(row, actual)` of every Est session with an initial throughput.
+        let est_rows: Vec<(usize, f64)> = est
+            .iter()
+            .filter_map(|&si| {
+                let actual = self.dataset.get(si).initial_throughput()?;
+                Some((table.row_of[si] as usize, actual))
+            })
+            .collect();
+        let mut errors = Vec::with_capacity(est_rows.len());
 
         let mut best: Option<(ClusterSpec, f64, usize)> = None;
         let mut qualifying_without_est: Option<(ClusterSpec, usize)> = None;
 
-        for &set in &self.candidate_sets {
-            for &window in &self.config.candidate_windows {
+        for (s, &set) in self.candidate_sets.iter().enumerate() {
+            let members = self.indexes[&set].lookup(features);
+            for (w, &window) in self.config.candidate_windows.iter().enumerate() {
                 let spec = ClusterSpec { set, window };
-                let members = self.aggregate(spec, features, start);
-                if members.len() < self.config.min_cluster_size {
+                let cluster_size = count_in_window(self.dataset, members, start, window);
+                if cluster_size < self.config.min_cluster_size {
                     continue;
                 }
                 // Remember the most specific qualifying spec in case the
@@ -284,11 +325,11 @@ impl<'a> ClusterFinder<'a> {
                     None => true,
                     Some((cur, cur_n)) => {
                         set.len() > cur.set.len()
-                            || (set.len() == cur.set.len() && members.len() > *cur_n)
+                            || (set.len() == cur.set.len() && cluster_size > *cur_n)
                     }
                 };
                 if better_fallback {
-                    qualifying_without_est = Some((spec, members.len()));
+                    qualifying_without_est = Some((spec, cluster_size));
                 }
                 if est.is_empty() {
                     continue;
@@ -300,21 +341,22 @@ impl<'a> ClusterFinder<'a> {
                 // a congestion episode or a transient dip), and a handful
                 // of such outliers otherwise drowns the signal that
                 // separates feature subsets.
-                let mut errors = Vec::with_capacity(est.len());
-                for &si in &est {
-                    let Some(actual) = self.dataset.get(si).initial_throughput() else {
+                let column = table.column(s, w);
+                errors.clear();
+                for &(row, actual) in &est_rows {
+                    let pred = column[row];
+                    if pred.is_nan() {
                         continue;
-                    };
-                    let Some(pred) = self.predicted_initial_for(spec, si) else {
-                        continue;
-                    };
+                    }
                     errors.push(abs_normalized_error(pred, actual));
                 }
-                let Some(err) = cs2p_ml::stats::median(&errors) else {
+                if errors.is_empty() {
                     continue;
-                };
+                }
+                errors.sort_by(|a, b| a.partial_cmp(b).expect("NaN in percentile input"));
+                let err = percentile_of_sorted(&errors, 50.0);
                 if best.as_ref().is_none_or(|(_, e, _)| err < *e) {
-                    best = Some((spec, err, members.len()));
+                    best = Some((spec, err, cluster_size));
                 }
             }
         }
@@ -342,6 +384,155 @@ impl<'a> ClusterFinder<'a> {
             error: None,
             cluster_size: members.len(),
             used_global_fallback: true,
+        }
+    }
+}
+
+/// `|Agg(spec, s)|` for a target starting at `start`, counted over the
+/// target key's start-ordered `members` without building the aggregate.
+fn count_in_window(dataset: &Dataset, members: &[usize], start: u64, window: TimeWindow) -> usize {
+    let start_of = |i: usize| dataset.get(i).start_time;
+    let past = &members[..members.partition_point(|&i| start_of(i) < start)];
+    match window {
+        TimeWindow::All => past.len(),
+        TimeWindow::History { minutes } => {
+            let from = start.saturating_sub(u64::from(minutes) * 60);
+            past.len() - past.partition_point(|&i| start_of(i) < from)
+        }
+        TimeWindow::SameHourOfDay { .. } => past
+            .iter()
+            .filter(|&&i| window.contains(start_of(i), start))
+            .count(),
+    }
+}
+
+/// Row of a session that no `Est` pool holds.
+const NO_ROW: u32 = u32::MAX;
+
+/// `F(Agg(spec, s'))` for every candidate spec and every session `s'` in
+/// some `Est` pool of one batch of searches.
+///
+/// Rows are the pooled sessions, columns the specs; a cell is the median
+/// initial throughput of `Agg(spec, s')`, or NaN when that aggregate holds
+/// no initial throughput (a real median is always finite). Each feature
+/// set's columns are filled by one sweep per cluster key (see
+/// [`sweep_medians`]), so no lock guards the table.
+struct PredictionTable {
+    /// Dataset index -> row, [`NO_ROW`] outside every pool.
+    row_of: Vec<u32>,
+    n_rows: usize,
+    /// `columns[set][window * n_rows + row]`, indexed like the candidate
+    /// sets and windows.
+    columns: Vec<Vec<f64>>,
+}
+
+impl PredictionTable {
+    fn build(finder: &ClusterFinder<'_>, pools: &[Vec<usize>], n_threads: usize) -> Self {
+        let dataset = finder.dataset;
+        let mut row_of = vec![NO_ROW; dataset.len()];
+        let mut n_rows = 0usize;
+        for &i in pools.iter().flatten() {
+            if row_of[i] == NO_ROW && dataset.get(i).initial_throughput().is_some() {
+                row_of[i] = u32::try_from(n_rows).expect("fewer pooled sessions than NO_ROW");
+                n_rows += 1;
+            }
+        }
+        let windows = &finder.config.candidate_windows;
+        let columns = run_parallel(n_threads, finder.candidate_sets.len(), |s| {
+            let mut cells = vec![f64::NAN; windows.len() * n_rows];
+            if n_rows == 0 {
+                return cells;
+            }
+            let mut sorted = Vec::new();
+            let mut by_hour: Vec<Vec<usize>> = vec![Vec::new(); 24];
+            for (_, members) in finder.indexes[&finder.candidate_sets[s]].iter() {
+                // Only sessions up to the key's last pooled one matter.
+                let Some(last) = members.iter().rposition(|&i| row_of[i] != NO_ROW) else {
+                    continue;
+                };
+                let members = &members[..=last];
+                for (w, window) in windows.iter().enumerate() {
+                    let out = &mut cells[w * n_rows..(w + 1) * n_rows];
+                    let span = match *window {
+                        TimeWindow::All => u64::MAX,
+                        TimeWindow::History { minutes } => u64::from(minutes) * 60,
+                        TimeWindow::SameHourOfDay { days } => u64::from(days) * 86_400,
+                    };
+                    if !matches!(window, TimeWindow::SameHourOfDay { .. }) {
+                        sweep_medians(dataset, members, span, &row_of, out, &mut sorted);
+                        continue;
+                    }
+                    // Same hour of day: one sweep per hour bucket.
+                    for bucket in &mut by_hour {
+                        bucket.clear();
+                    }
+                    for &i in members {
+                        let hour = (dataset.get(i).start_time / 3600) % 24;
+                        by_hour[hour as usize].push(i);
+                    }
+                    for bucket in &by_hour {
+                        sweep_medians(dataset, bucket, span, &row_of, out, &mut sorted);
+                    }
+                }
+            }
+            cells
+        });
+        PredictionTable {
+            row_of,
+            n_rows,
+            columns,
+        }
+    }
+
+    /// The column of candidate set `s` and candidate window `w`.
+    fn column(&self, s: usize, w: usize) -> &[f64] {
+        &self.columns[s][w * self.n_rows..(w + 1) * self.n_rows]
+    }
+}
+
+/// Sweeps one cluster key's start-ordered `members`: for every member
+/// `s'` with a row, writes to `out[row]` the median initial throughput of
+/// the members that started in `[t - span, t)`, `t = s'.start_time` — the
+/// window `TimeWindow::contains` admits, equal starts excluded.
+///
+/// `sorted` holds the window's initial throughputs in the order a stable
+/// sort of them in start order gives: a value enters after its equals and
+/// leaves from the front of them, so it is oldest-first among equals.
+/// [`percentile_of_sorted`] then returns the bits
+/// [`ClusterFinder::median_initial`] returns for the same aggregate.
+fn sweep_medians(
+    dataset: &Dataset,
+    members: &[usize],
+    span: u64,
+    row_of: &[u32],
+    out: &mut [f64],
+    sorted: &mut Vec<f64>,
+) {
+    sorted.clear();
+    let (mut lo, mut hi) = (0, 0);
+    for &j in members {
+        let row = row_of[j];
+        if row == NO_ROW {
+            continue;
+        }
+        let t = dataset.get(j).start_time;
+        while hi < members.len() && dataset.get(members[hi]).start_time < t {
+            if let Some(x) = dataset.get(members[hi]).initial_throughput() {
+                let at = sorted.partition_point(|&y| y <= x);
+                sorted.insert(at, x);
+            }
+            hi += 1;
+        }
+        let from = t.saturating_sub(span);
+        while lo < hi && dataset.get(members[lo]).start_time < from {
+            if let Some(x) = dataset.get(members[lo]).initial_throughput() {
+                let at = sorted.partition_point(|&y| y < x);
+                sorted.remove(at);
+            }
+            lo += 1;
+        }
+        if !sorted.is_empty() {
+            out[row as usize] = percentile_of_sorted(sorted, 50.0);
         }
     }
 }

@@ -204,16 +204,14 @@ impl PredictionEngine {
             set
         };
 
-        // Phase 1 (parallel): one spec search per combo. ClusterFinder is
-        // Sync (its memo cache is behind a lock) and searches are
-        // independent, so combos are dealt round-robin to workers and
-        // results reassembled in combo order — bitwise identical to the
-        // sequential run.
+        // Phase 1 (parallel): one spec search per combo, as one batch. The
+        // batch fills its lock-free F(Agg(spec, s')) table and runs the
+        // independent searches through `run_parallel`, results in combo
+        // order — bitwise identical to the sequential run. The table is
+        // dropped before phase 3's EM.
         let searches: Vec<crate::cluster::SpecSearch> = {
             let _span = cs2p_obs::span("train.engine.search").field("n_combos", combo_list.len());
-            run_parallel(config.n_threads, combo_list.len(), |i| {
-                finder.find_best_spec(&combo_list[i], reference_time)
-            })
+            finder.find_best_specs(&combo_list, reference_time, config.n_threads)
         };
 
         // Phase 2 (sequential): deduplicate (spec, key) clusters.
@@ -551,7 +549,7 @@ pub struct LookupResult<'a> {
 /// Work is dealt by a shared atomic counter so an expensive item doesn't
 /// serialize a whole stripe; output order (and therefore every downstream
 /// id) is independent of scheduling.
-fn run_parallel<T, F>(n_threads: usize, n: usize, job: F) -> Vec<T>
+pub(crate) fn run_parallel<T, F>(n_threads: usize, n: usize, job: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,

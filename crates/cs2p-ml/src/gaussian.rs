@@ -53,8 +53,15 @@ impl Gaussian {
 
     /// Log-density at `x`; numerically safe far into the tails.
     pub fn log_pdf(&self, x: f64) -> f64 {
+        self.log_pdf_given_ln_sigma(x, self.sigma.ln())
+    }
+
+    /// [`log_pdf`](Self::log_pdf) with `ln_sigma = self.sigma.ln()` passed
+    /// in, for callers that evaluate many points against one Gaussian. The
+    /// bits are those of `log_pdf`.
+    pub fn log_pdf_given_ln_sigma(&self, x: f64, ln_sigma: f64) -> f64 {
         let z = (x - self.mu) / self.sigma;
-        -0.5 * z * z - self.sigma.ln() - LN_SQRT_2PI
+        -0.5 * z * z - ln_sigma - LN_SQRT_2PI
     }
 
     /// Variance `sigma^2`.

@@ -23,6 +23,8 @@ use super::Hmm;
 #[derive(Debug, Clone, Default)]
 pub struct ForwardBackward {
     n: usize,
+    /// `ln_sigma[j]`, per state, for the emission table.
+    ln_sigma: Vec<f64>,
     /// `emission[t * n + j] = e_j(w_t)`.
     emission: Vec<f64>,
     /// Scaled forward variables: each row is normalized to sum to 1, i.e.
@@ -44,9 +46,17 @@ impl ForwardBackward {
         let n = hmm.n_states();
         let t_max = obs.len();
         self.n = n;
+        self.ln_sigma.clear();
+        self.ln_sigma
+            .extend(hmm.emissions.iter().map(|e| e.ln_sigma()));
         self.emission.clear();
         for &w in obs {
-            self.emission.extend(hmm.emissions.iter().map(|e| e.pdf(w)));
+            self.emission.extend(
+                hmm.emissions
+                    .iter()
+                    .zip(&self.ln_sigma)
+                    .map(|(e, &ln_sigma)| e.log_pdf_given_ln_sigma(w, ln_sigma).exp()),
+            );
         }
         self.alpha.clear();
         self.alpha.resize(t_max * n, 0.0);

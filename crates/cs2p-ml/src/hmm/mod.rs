@@ -58,21 +58,36 @@ pub enum Emission {
 impl Emission {
     /// Log-density of observation `w` under this emission.
     pub fn log_pdf(&self, w: f64) -> f64 {
-        match self {
-            Emission::Gaussian(g) => g.log_pdf(w),
-            Emission::LogNormal(g) => {
-                if w <= 0.0 {
-                    f64::NEG_INFINITY
-                } else {
-                    g.log_pdf(w.ln()) - w.ln()
-                }
-            }
-        }
+        self.log_pdf_given_ln_sigma(w, self.ln_sigma())
     }
 
     /// Density of observation `w`.
     pub fn pdf(&self, w: f64) -> f64 {
         self.log_pdf(w).exp()
+    }
+
+    /// `ln` of the underlying Gaussian's `sigma`: the per-state term of
+    /// the log-density that does not depend on the observation.
+    pub fn ln_sigma(&self) -> f64 {
+        match self {
+            Emission::Gaussian(g) | Emission::LogNormal(g) => g.sigma.ln(),
+        }
+    }
+
+    /// [`log_pdf`](Self::log_pdf) with [`ln_sigma`](Self::ln_sigma) passed
+    /// in, so a table of emissions evaluates it once per state. The bits
+    /// are those of `log_pdf`.
+    pub fn log_pdf_given_ln_sigma(&self, w: f64, ln_sigma: f64) -> f64 {
+        match self {
+            Emission::Gaussian(g) => g.log_pdf_given_ln_sigma(w, ln_sigma),
+            Emission::LogNormal(g) => {
+                if w <= 0.0 {
+                    f64::NEG_INFINITY
+                } else {
+                    g.log_pdf_given_ln_sigma(w.ln(), ln_sigma) - w.ln()
+                }
+            }
+        }
     }
 
     /// The mean of the observation distribution — the value Algorithm 1

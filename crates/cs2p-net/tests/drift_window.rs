@@ -61,8 +61,6 @@ impl Reference {
         }
     }
 
-    // `QuantileSketch::default()` starts min/max at 0.0; `new()` at ±inf.
-    #[allow(clippy::unwrap_or_default)]
     fn record(&mut self, key: SketchKey, ape: f64) -> bool {
         if !ape.is_finite() || ape.is_sign_negative() {
             self.unmatched += 1;
@@ -71,7 +69,7 @@ impl Reference {
         self.matched += 1;
         self.sketches
             .entry(key.to_string())
-            .or_insert_with(QuantileSketch::new)
+            .or_default()
             .observe(ape);
         let cap = self.config.window.max(1);
         self.window.push_back(ape);

@@ -57,12 +57,20 @@ fn bucket_value(idx: i32) -> f64 {
 /// All state is integer counts plus exact min/max, so two sketches built
 /// from the same multiset of observations — in any order, or via any
 /// sequence of [`merge`](Self::merge) calls — are equal field-for-field.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantileSketch {
     count: u64,
     min: f64,
     max: f64,
     buckets: BTreeMap<i32, u64>,
+}
+
+impl Default for QuantileSketch {
+    /// The empty sketch of [`new`](QuantileSketch::new), with min and max
+    /// at +inf and -inf so the first observation sets both.
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl QuantileSketch {
@@ -175,6 +183,19 @@ mod tests {
         let snap = s.snapshot();
         assert_eq!(snap.count, 0);
         assert_eq!(snap.p50, 0.0);
+    }
+
+    #[test]
+    fn default_is_the_empty_sketch() {
+        assert_eq!(QuantileSketch::default(), QuantileSketch::new());
+        let mut s = QuantileSketch::default();
+        s.observe(5.0);
+        assert_eq!((s.snapshot().min, s.snapshot().max), (5.0, 5.0));
+        // Merging an empty default sketch leaves the envelope alone.
+        let mut held = QuantileSketch::new();
+        held.observe(3.0);
+        held.merge(&QuantileSketch::default());
+        assert_eq!((held.snapshot().min, held.snapshot().max), (3.0, 3.0));
     }
 
     #[test]
